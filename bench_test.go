@@ -22,6 +22,7 @@ import (
 	fm "safeguard/internal/faultmodel"
 	"safeguard/internal/faultsim"
 	"safeguard/internal/mac"
+	"safeguard/internal/memctrl"
 	"safeguard/internal/report"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -466,22 +467,24 @@ func BenchmarkAblationMitigations(b *testing.B) {
 		cfg.Rows = 8192
 		cfg.Seed = 13
 		mk := []struct {
-			name string
-			mit  func() rowhammer.Mitigation
-			pat  func() rowhammer.Pattern
+			name, mit string
+			pat       func() rowhammer.Pattern
 		}{
-			{"none/double-sided", func() rowhammer.Mitigation { return rowhammer.None{} },
+			{"none/double-sided", "none",
 				func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 4000} }},
-			{"TRR/TRRespass", func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
+			{"TRR/TRRespass", "trr",
 				func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 4000, Dummies: 12, DummyBase: 6000} }},
-			{"PARA/half-double", func() rowhammer.Mitigation { return rowhammer.NewPARA(cfg.Threshold, 13) },
+			{"PARA/half-double", "para",
 				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000} }},
-			{"Graphene/half-double", func() rowhammer.Mitigation { return rowhammer.NewGraphene(cfg.Threshold) },
+			{"Graphene/half-double", "graphene",
 				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000, NearEvery: 680} }},
 		}
 		for _, m := range mk {
-			bank := rowhammer.NewBank(cfg)
-			res := rowhammer.RunAttack(bank, m.mit(), m.pat(), 1)
+			mit, err := memctrl.NewMitigationPlugin(m.mit, cfg.Threshold, 13)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res := rowhammer.RunAttack(rowhammer.NewBank(cfg), mit, m.pat(), 1)
 			results = append(results, result{m.name, res.TotalFlips})
 		}
 	}
@@ -641,16 +644,17 @@ func BenchmarkAblationBlockHammer(b *testing.B) {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = 17
-		bank := rowhammer.NewBank(cfg)
-		bh := rowhammer.NewBlockHammer(cfg.Threshold)
-		res := rowhammer.RunAttack(bank, bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		run := func(designThreshold int) rowhammer.AttackResult {
+			bh, err := memctrl.NewMitigationPlugin("blockhammer", designThreshold, 17)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		}
+		res := run(cfg.Threshold)
 		stopped = res.TotalFlips == 0
-		throttleFrac = bh.ThrottledFraction(rowhammer.ActsPerWindow)
-
-		bank2 := rowhammer.NewBank(cfg)
-		under := rowhammer.NewBlockHammer(3 * cfg.Threshold) // sized for an older module
-		res2 := rowhammer.RunAttack(bank2, under, &rowhammer.DoubleSided{Victim: 4000}, 1)
-		broken = res2.TotalFlips > 0
+		throttleFrac = float64(res.Throttled) / memctrl.ActsPerWindow
+		broken = run(3*cfg.Threshold).TotalFlips > 0 // sized for an older module
 	}
 	once("ablation-blockhammer", func() {
 		fmt.Printf("\nAblation: BlockHammer — correctly sized: stopped=%v (%.0f%% of attack activations throttled); under-sized for the module: broken=%v\n",

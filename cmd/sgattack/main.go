@@ -142,15 +142,17 @@ func main() {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = *seed
-		bank := rowhammer.NewBank(cfg)
-		bh := rowhammer.NewBlockHammer(cfg.Threshold)
-		res := rowhammer.RunAttack(bank, bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
-		bank2 := rowhammer.NewBank(cfg)
-		under := rowhammer.NewBlockHammer(3 * cfg.Threshold)
-		res2 := rowhammer.RunAttack(bank2, under, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		run := func(designThreshold int) rowhammer.AttackResult {
+			bh, err := memctrl.NewMitigationPlugin("blockhammer", designThreshold, *seed)
+			if err != nil {
+				cliflags.Fail(err)
+			}
+			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+		}
+		res, res2 := run(cfg.Threshold), run(3*cfg.Threshold)
 		fmt.Println("BlockHammer (Section VIII):")
 		fmt.Printf("  sized for threshold %d: %d flips, %.1f%% of attack activations throttled\n",
-			cfg.Threshold, res.TotalFlips, bh.ThrottledFraction(rowhammer.ActsPerWindow)*100)
+			cfg.Threshold, res.TotalFlips, float64(res.Throttled)/memctrl.ActsPerWindow*100)
 		fmt.Printf("  sized for threshold %d (an older module): %d flips — broken by the paper's threshold-dependence argument\n",
 			3*cfg.Threshold, res2.TotalFlips)
 		fmt.Println()

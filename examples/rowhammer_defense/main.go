@@ -18,17 +18,23 @@ func main() {
 	const victim = 4000
 
 	fmt.Println("=== Phase 1: classic attacks are stopped by deployed mitigations ===")
-	classic := []struct {
-		mit func() safeguard.Mitigation
-	}{
-		{func() safeguard.Mitigation { return safeguard.NewPARA(cfg.Threshold, 1) }},
-		{func() safeguard.Mitigation { return safeguard.NewTRR(4) }},
-		{func() safeguard.Mitigation { return safeguard.NewGraphene(cfg.Threshold) }},
+	// Mitigations come from the registry by name; the labels are the
+	// printed captions.
+	mitigation := func(name string) safeguard.ControllerPlugin {
+		mit, err := safeguard.NewMitigationPlugin(name, cfg.Threshold, 1)
+		if err != nil {
+			panic(err)
+		}
+		return mit
+	}
+	classic := []struct{ label, mit string }{
+		{"PARA", "para"},
+		{"TRR", "trr"},
+		{"Graphene", "graphene"},
 	}
 	for _, c := range classic {
 		bank := safeguard.NewBank(cfg)
-		mit := c.mit()
-		res := safeguard.RunAttack(bank, mit, &safeguard.DoubleSided{Victim: victim}, 1)
+		res := safeguard.RunAttack(bank, mitigation(c.mit), &safeguard.DoubleSided{Victim: victim}, 1)
 		note := "mitigation held"
 		if res.TotalFlips > 0 {
 			// PARA is probabilistic: a ~e^-10 per-window tail can leak a
@@ -37,32 +43,31 @@ func main() {
 			note = fmt.Sprintf("targeted victim held; %d stray flips from the probabilistic tail", res.TotalFlips)
 		}
 		fmt.Printf("  double-sided vs %-9s: %d flips in the victim row (%s)\n",
-			mit.Name(), res.FlipsByRow[victim], note)
+			c.label, res.FlipsByRow[victim], note)
 	}
 
 	fmt.Println("\n=== Phase 2: breakthrough patterns defeat the same mitigations ===")
 	type study struct {
-		name    string
-		mit     func() safeguard.Mitigation
-		pattern func() safeguard.AttackPattern
+		name, mit string
+		pattern   func() safeguard.AttackPattern
 	}
 	studies := []study{
-		{"TRRespass vs TRR", func() safeguard.Mitigation { return safeguard.NewTRR(4) },
+		{"TRRespass vs TRR", "trr",
 			func() safeguard.AttackPattern {
 				return &safeguard.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000}
 			}},
-		{"Half-Double vs PARA", func() safeguard.Mitigation { return safeguard.NewPARA(cfg.Threshold, 1) },
+		{"Half-Double vs PARA", "para",
 			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim} }},
-		{"Half-Double vs Graphene", func() safeguard.Mitigation { return safeguard.NewGraphene(cfg.Threshold) },
+		{"Half-Double vs Graphene", "graphene",
 			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 680} }},
-		{"Half-Double vs TRR", func() safeguard.Mitigation { return safeguard.NewTRR(4) },
+		{"Half-Double vs TRR", "trr",
 			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 1130} }},
 	}
 
 	banks := make([]*safeguard.Bank, 0, len(studies))
 	for _, st := range studies {
 		bank := safeguard.NewBank(cfg)
-		res := safeguard.RunAttack(bank, st.mit(), st.pattern(), 2)
+		res := safeguard.RunAttack(bank, mitigation(st.mit), st.pattern(), 2)
 		fmt.Printf("  %-24s: %d flips across %d victim rows (%d mitigation refreshes issued)\n",
 			st.name, res.TotalFlips, len(res.FlipsByRow), res.MitigationRefreshes)
 		banks = append(banks, bank)

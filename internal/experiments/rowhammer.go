@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"safeguard/internal/ecc"
+	"safeguard/internal/memctrl"
 	"safeguard/internal/rowhammer"
 )
 
@@ -31,40 +32,38 @@ func Figure1b(seed uint64) []Figure1bResult {
 	cfg.VulnerableCellsPerRow = 256
 	cfg.FlipsPerCrossing = 16
 
+	// label is the printed caption; mit is the registry name.
 	type study struct {
-		mit       func() rowhammer.Mitigation
-		pattern   func() rowhammer.Pattern
-		reference int
+		label, mit string
+		pattern    func() rowhammer.Pattern
+		reference  int
 	}
 	const victim = 4000
 	studies := []study{
-		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} },
-			reference: victim - 1,
-		},
-		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewPARA(cfg.Threshold, seed) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} },
-			reference: victim + 2,
-		},
-		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewGraphene(cfg.Threshold) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} },
-			reference: victim + 2,
-		},
-		{
-			mit:       func() rowhammer.Mitigation { return rowhammer.NewTRR(4) },
-			pattern:   func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} },
-			reference: victim + 2,
-		},
+		{"TRR", "trr",
+			func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} },
+			victim - 1},
+		{"PARA", "para",
+			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} },
+			victim + 2},
+		{"Graphene", "graphene",
+			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} },
+			victim + 2},
+		{"TRR", "trr",
+			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} },
+			victim + 2},
 	}
 
 	keyed := testKey()
 	out := make([]Figure1bResult, 0, len(studies))
 	for _, st := range studies {
+		mit, err := memctrl.NewMitigationPlugin(st.mit, cfg.Threshold, seed)
+		if err != nil {
+			panic(err) // registry names above are fixed
+		}
 		bank := rowhammer.NewBank(cfg)
-		res := rowhammer.RunAttackAround(bank, st.mit(), st.pattern(), 2, st.reference)
+		res := rowhammer.RunAttackAround(bank, mit, st.pattern(), 2, st.reference)
+		res.Mitigation = st.label
 		r := Figure1bResult{
 			Attack:           res,
 			DistanceTwoFlips: res.FlipsByDistance[2],

@@ -1,14 +1,15 @@
-// In-controller Row-Hammer mitigations, re-implemented as controller
-// plugins over the real ACT/REF command stream. Each mirrors the
-// algorithm of its standalone oracle in internal/rowhammer/mitigation.go
-// (the parity tests there assert identical decisions on identical
-// streams); the difference is *where* the refresh happens: plugins
-// enqueue VRR commands back into the controller, which issues them under
-// real bank timing, instead of refreshing a model bank directly.
+// Row-Hammer mitigations as controller plugins: PARA, TRR, Graphene and
+// BlockHammer are pure functions of the ACT/REF command stream they
+// observe. Their victim refreshes go out through a VRRSink and their
+// throttling through ActGate, so the same plugin runs in two places: the
+// cycle-level Controller, which issues the VRRs under real bank timing,
+// and the untimed attack driver (rowhammer.RunAttack), whose sink
+// refreshes the model bank at once. This file is the only implementation
+// of these defences.
 //
-// State is kept per (rank, bank) because the oracles are per-bank models:
-// one sampler/tracker/filter instance per bank, exactly as a per-bank
-// deployment would provision them.
+// State is kept per (rank, bank): one sampler/tracker/filter instance per
+// bank, exactly as a per-bank deployment would provision them. Per-window
+// state rotates on every REFsPerWindow-th REF of the rank.
 package memctrl
 
 import (
@@ -20,9 +21,9 @@ import (
 	"safeguard/internal/bloom"
 )
 
-// ActsPerWindow and REFsPerWindow mirror the refresh-window constants of
-// internal/rowhammer (which imports this package, so they cannot be
-// shared directly). A cross-package test asserts they stay equal.
+// The refresh-window budget of one bank: ActsPerWindow activations fit in
+// a 64ms window (tRC ≈ 47ns), during which the controller issues
+// REFsPerWindow REF commands (tREFI = 7.8us).
 const (
 	ActsPerWindow = 1_360_000
 	REFsPerWindow = 8192
@@ -76,12 +77,12 @@ func NewMitigationPlugin(name string, threshold int, seed uint64) (Plugin, error
 // PARA
 // ---------------------------------------------------------------------------
 
-// PARAPlugin is PARA (Kim et al., ISCA'14) in the controller: on every
-// ACT, with probability P, enqueue VRRs for the aggressor's immediate
-// neighbours.
+// PARAPlugin is PARA (Kim et al., ISCA'14): on every ACT, with
+// probability P, enqueue VRRs for the aggressor's immediate neighbours.
+// P must be tailored to the RH-Threshold — the paper's point about
+// threshold-dependent defences.
 type PARAPlugin struct {
-	// P is the per-activation refresh probability (10/threshold, as the
-	// oracle sizes it).
+	// P is the per-activation refresh probability.
 	P    float64
 	src  *rand.PCG // kept alongside rng: checkpoints marshal the PCG state
 	rng  *rand.Rand
@@ -90,8 +91,11 @@ type PARAPlugin struct {
 	acts, triggers, vrrs float64
 }
 
-// NewPARAPlugin sizes PARA for the threshold with the oracle's PRNG
-// stream, so plugin and oracle draw identical coin flips per ACT.
+// NewPARAPlugin sizes PARA for the threshold: P = 10/threshold makes the
+// chance of a victim surviving `threshold` activations without a refresh
+// (1-P)^threshold ≈ e^-10 ≈ 5e-5. Note the Half-Double irony: the
+// stronger P is, the more middle-row refreshes the mitigation itself
+// issues on behalf of a distance-2 attacker.
 func NewPARAPlugin(threshold int, seed uint64) *PARAPlugin {
 	src := rand.NewPCG(seed, 0xAA)
 	return &PARAPlugin{P: 10.0 / float64(threshold), src: src, rng: rand.New(src)}
@@ -139,15 +143,32 @@ type trrBank struct {
 	refIndex      int
 }
 
-// TRRPlugin is the in-DRAM TRR sampler as a controller plugin: per-bank
-// activation counts within the REF interval; on each REF the neighbours
-// of the hottest rows of that rank's banks get VRRs, then the samplers
-// clear. Parameters match the oracle (rowhammer.NewTRR).
+// TRRPlugin models in-DRAM Targeted Row Refresh the way deployed
+// samplers work (and the way TRRespass characterized them): per-bank
+// activation counts within the current REF interval; on each REF the
+// neighbours of the hottest rows of that rank's banks get VRRs, then the
+// samplers clear. The tiny capacity and per-interval horizon are exactly
+// what TRRespass exploits — a stream of dummy rows out-counts the true
+// aggressors in every interval, so the victims' neighbours are never the
+// ones refreshed.
 type TRRPlugin struct {
-	TableSize           int
-	VictimsPerREF       int
+	// TableSize is the sampler capacity (real devices track only a
+	// handful of rows).
+	TableSize int
+	// VictimsPerREF is how many tracked rows get their neighbours
+	// refreshed per REF command.
+	VictimsPerREF int
+	// RefreshCooldownREFs rate-limits per-row victim refreshes: a row
+	// refreshed within this many REF commands is skipped. Without the
+	// limit the mitigation would re-activate the same victims thousands
+	// of times per window and hammer *their* neighbours itself.
 	RefreshCooldownREFs int
-	EligibleMin         int
+	// EligibleMin is the per-interval activation-count bar: a row is
+	// considered an aggressor only if it was activated at least this
+	// many times within the REF interval. TRRespass's dummy-row
+	// calibration keeps the true aggressors just under this bar while
+	// the dummies stay above it.
+	EligibleMin int
 
 	banks map[bankKey]*trrBank
 	keys  map[bankKey]struct{}
@@ -197,8 +218,9 @@ func (t *TRRPlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64) {
 	}
 }
 
-// sample mirrors the oracle's OnActivate: count rows seen this REF
-// interval; on overflow evict the coldest entry (smallest row on ties).
+// sample counts rows seen this REF interval; on overflow it evicts the
+// coldest entry (smallest row on ties, so eviction does not depend on map
+// iteration order).
 func (t *TRRPlugin) sample(b *trrBank, row int) {
 	if _, ok := b.counts[row]; ok {
 		b.counts[row]++
@@ -216,8 +238,8 @@ func (t *TRRPlugin) sample(b *trrBank, row int) {
 	b.counts[row] = 1
 }
 
-// onREF mirrors the oracle's OnREF: VRR the neighbours of the
-// hottest-this-interval rows, then start a fresh interval.
+// onREF VRRs the neighbours of the hottest-this-interval rows, then
+// starts a fresh interval.
 func (t *TRRPlugin) onREF(k bankKey, b *trrBank) {
 	if len(b.counts) == 0 {
 		return
@@ -269,10 +291,13 @@ type grapheneBank struct {
 	spill  int
 }
 
-// GraphenePlugin is the Misra–Gries tracker (Park et al., MICRO'20) as a
-// controller plugin: per-bank exact frequent-element counting; a row
-// crossing the trigger gets its neighbours VRR'd. Tables reset every
-// refresh window, counted as REFsPerWindow REF commands per rank.
+// GraphenePlugin is the Misra–Gries tracker (Park et al., MICRO'20):
+// per-bank exact frequent-element counting; a row crossing the trigger
+// gets its neighbours VRR'd. Frequent-element counting is immune to the
+// capacity eviction TRRespass relies on, but the refreshes still target
+// only immediate neighbours, which Half-Double turns into a weapon.
+// Tables reset every refresh window, counted as REFsPerWindow REF
+// commands per rank.
 type GraphenePlugin struct {
 	Trigger  int
 	Counters int
@@ -284,9 +309,9 @@ type GraphenePlugin struct {
 	acts, triggers, vrrs float64
 }
 
-// NewGraphenePlugin sizes the tracker exactly as the oracle does: trigger
-// at half the design threshold, counters covering the window's activation
-// budget.
+// NewGraphenePlugin sizes the tracker for a design threshold: trigger at
+// half the threshold, with enough counters to cover the window's
+// activation budget so decrement-evictions cannot hide a real aggressor.
 func NewGraphenePlugin(designThreshold int) *GraphenePlugin {
 	trigger := designThreshold / 2
 	if trigger < 1 {
@@ -325,7 +350,7 @@ func (g *GraphenePlugin) OnCommand(cmd Command, rank, bank, row int, cycle int64
 	}
 }
 
-// track mirrors the oracle's OnActivate (Misra–Gries update + trigger).
+// track is the Misra–Gries update plus the trigger check.
 func (g *GraphenePlugin) track(k bankKey, row int) {
 	b, ok := g.banks[k]
 	if !ok {
@@ -369,11 +394,18 @@ func (g *GraphenePlugin) DrainStats() PluginStats {
 // BlockHammer
 // ---------------------------------------------------------------------------
 
-// BlockHammerPlugin is BlockHammer (Yağlıkçı et al., HPCA 2021) as a
-// controller plugin: per-bank counting Bloom filters track activations
-// within the refresh window, and rows over the per-window cap are denied
-// further ACTs via the controller's gate chain — the throttling shows up
-// as real queueing delay instead of a skipped model step.
+// BlockHammerPlugin is BlockHammer (Yağlıkçı et al., HPCA 2021), which
+// Section VIII of the SafeGuard paper discusses: per-bank counting Bloom
+// filters track activations within the refresh window, and rows at the
+// per-window cap are denied further ACTs through ActGate. In the
+// controller a denial is real queueing delay; in the untimed driver it is
+// a lost command slot. The Bloom estimate never underestimates, so the
+// cap holds even under collisions.
+//
+// It has the two weaknesses the paper calls out: it must be sized for a
+// particular RH-Threshold (a module with a lower threshold than designed
+// for still flips bits), and blacklisted-but-benign hot rows suffer
+// severe added latency.
 type BlockHammerPlugin struct {
 	// DesignThreshold is the RH-Threshold the filter caps were sized for.
 	DesignThreshold int
@@ -385,8 +417,10 @@ type BlockHammerPlugin struct {
 	acts, throttled float64
 }
 
-// NewBlockHammerPlugin sizes the mitigation for a design threshold with
-// the oracle's filter geometry and cap (threshold/2 - 1).
+// NewBlockHammerPlugin sizes the mitigation for a design threshold. The
+// per-row cap is threshold/2 - 1: a victim's disturbance sums over both
+// its neighbours (double-sided hammering), so each aggressor must
+// individually stay below T/2 for the sum to stay below T.
 func NewBlockHammerPlugin(designThreshold int) *BlockHammerPlugin {
 	c := designThreshold/2 - 1
 	if c < 1 {

@@ -1,6 +1,10 @@
 package rowhammer
 
-import "testing"
+import (
+	"testing"
+
+	"safeguard/internal/memctrl"
+)
 
 func TestBlockHammerStopsEveryAttackPattern(t *testing.T) {
 	t.Parallel()
@@ -14,12 +18,11 @@ func TestBlockHammerStopsEveryAttackPattern(t *testing.T) {
 	}
 	for _, p := range patterns {
 		b := NewBank(cfg)
-		bh := NewBlockHammer(cfg.Threshold)
-		res := RunAttack(b, bh, p, 1)
+		res := RunAttack(b, mitigation(t, "blockhammer", cfg.Threshold, 0), p, 1)
 		if res.TotalFlips != 0 {
 			t.Fatalf("%s: BlockHammer let %d flips through", p.Name(), res.TotalFlips)
 		}
-		if bh.Throttled == 0 {
+		if res.Throttled == 0 {
 			t.Fatalf("%s: attack was never throttled", p.Name())
 		}
 	}
@@ -29,12 +32,11 @@ func TestBlockHammerThresholdDependence(t *testing.T) {
 	t.Parallel()
 	// The paper's critique: a mitigation sized for one RH-Threshold fails
 	// on a module with a lower one. BlockHammer designed for 10K faces an
-	// LPDDR4-new module at 4.8K: the cap (9999 acts/row) is far above the
-	// real threshold, so hammering succeeds.
+	// LPDDR4-new module at 4.8K: the cap (4999 acts/row) sums to ~2x the
+	// real threshold under double-sided hammering, so hammering succeeds.
 	cfg := testConfig() // threshold 4800
 	b := NewBank(cfg)
-	bh := NewBlockHammer(10_000) // sized for DDR4-new
-	res := RunAttack(b, bh, &DoubleSided{Victim: 1000}, 1)
+	res := RunAttack(b, mitigation(t, "blockhammer", 10_000, 0), &DoubleSided{Victim: 1000}, 1)
 	if res.FlipsByRow[1000] == 0 {
 		t.Fatal("under-provisioned BlockHammer should have been broken")
 	}
@@ -47,11 +49,8 @@ func TestBlockHammerThrottlesBenignHotRows(t *testing.T) {
 	// latency for benign traffic.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	bh := NewBlockHammer(cfg.Threshold)
-	// A benign workload that re-activates one row 3x the cap.
-	p := &SingleSided{Aggressor: 2222}
-	RunAttack(b, bh, p, 1)
-	frac := bh.ThrottledFraction(ActsPerWindow)
+	res := RunAttack(b, mitigation(t, "blockhammer", cfg.Threshold, 0), &SingleSided{Aggressor: 2222}, 1)
+	frac := float64(res.Throttled) / memctrl.ActsPerWindow
 	if frac < 0.9 {
 		t.Fatalf("hot-row throttle fraction %.2f; nearly all accesses beyond the cap must stall", frac)
 	}
@@ -63,8 +62,7 @@ func TestBlockHammerNeverRefreshes(t *testing.T) {
 	// immune to the Half-Double refresh-weaponization by construction.
 	cfg := testConfig()
 	b := NewBank(cfg)
-	bh := NewBlockHammer(cfg.Threshold)
-	RunAttack(b, bh, &HalfDouble{Victim: 1500}, 1)
+	RunAttack(b, mitigation(t, "blockhammer", cfg.Threshold, 0), &HalfDouble{Victim: 1500}, 1)
 	if b.MitigationRefreshes != 0 {
 		t.Fatalf("BlockHammer issued %d refreshes", b.MitigationRefreshes)
 	}

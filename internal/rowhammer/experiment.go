@@ -5,6 +5,7 @@ import (
 
 	"safeguard/internal/bits"
 	"safeguard/internal/ecc"
+	"safeguard/internal/memctrl"
 )
 
 // ThresholdEntry is one row of the paper's Table I.
@@ -32,6 +33,9 @@ type AttackResult struct {
 	Windows             int
 	Activations         int
 	MitigationRefreshes int
+	// Throttled counts activations the mitigation's ACT gate denied
+	// (BlockHammer): the command slot passed but the row was not opened.
+	Throttled int
 	// FlipsByRow maps victim rows to flip counts.
 	FlipsByRow map[int]int
 	TotalFlips int
@@ -49,53 +53,78 @@ func (r AttackResult) String() string {
 		r.Pattern, r.Mitigation, r.TotalFlips, r.Windows, r.Activations, r.MitigationRefreshes)
 }
 
-// RunAttack drives `pattern` against the bank under `mit` for `windows`
-// refresh windows of ActsPerWindow activations each, interleaving REF
-// commands at the tREFI rate.
-func RunAttack(b *Bank, mit Mitigation, pattern Pattern, windows int) AttackResult {
+// RunAttack drives `pattern` against the bank under the mitigation plugin
+// `mit` (nil = unprotected) for `windows` refresh windows; see
+// RunAttackAround.
+func RunAttack(b *Bank, mit memctrl.Plugin, pattern Pattern, windows int) AttackResult {
 	return RunAttackAround(b, mit, pattern, windows, -1)
 }
 
-// Throttler is the optional mitigation capability of rate-limiting
-// activations (BlockHammer): when AllowActivate returns false the command
-// slot is consumed — time passes — but the activation does not occur.
-type Throttler interface {
-	AllowActivate(row int) bool
+// bankSink is the untimed VRR sink: a victim-row refresh lands on the bank
+// the moment the plugin requests it.
+type bankSink struct{ b *Bank }
+
+func (s bankSink) EnqueueVRR(rank, bank, row int) bool {
+	if row < 0 || row >= s.b.cfg.Rows {
+		return false
+	}
+	s.b.RefreshRow(row)
+	return true
 }
 
-// WindowResetter is the optional mitigation hook for refresh-window
-// rotation (Graphene's table reset, BlockHammer's filter rotation).
-type WindowResetter interface {
-	ResetWindow()
-}
-
-// RunAttackAround is RunAttack with a reference row for distance
-// histograms (Figure 1b reports flips at distance 2).
-func RunAttackAround(b *Bank, mit Mitigation, pattern Pattern, windows, referenceRow int) AttackResult {
-	refEvery := ActsPerWindow / REFsPerWindow
-	throttler, _ := mit.(Throttler)
+// RunAttackAround is the untimed ACT-stream driver: each refresh window
+// is memctrl.ActsPerWindow command slots on bank (0, 0), one pattern row
+// per slot, with REF commands at the tREFI rate. The mitigation is a
+// memctrl plugin seeing the same ACT/REF stream the controller would
+// issue; its VRRs refresh the bank at once and its ActGate (if any)
+// throttles activations, counted in AttackResult.Throttled.
+//
+// Each window's last REF is issued after the window's final ACT, just
+// before the bank's auto-refresh: plugins rotate their per-window state
+// (Graphene's table, BlockHammer's filter) on that REF, so the rotation
+// coincides with the disturbance reset. referenceRow >= 0 fills
+// AttackResult.FlipsByDistance (Figure 1b reports flips at distance 2).
+func RunAttackAround(b *Bank, mit memctrl.Plugin, pattern Pattern, windows, referenceRow int) AttackResult {
+	name := "none"
+	var gate memctrl.ActGate
+	if mit != nil {
+		name = mit.Name()
+		if sb, ok := mit.(memctrl.SinkBinder); ok {
+			sb.BindSink(bankSink{b})
+		}
+		gate, _ = mit.(memctrl.ActGate)
+	}
+	refEvery := memctrl.ActsPerWindow / memctrl.REFsPerWindow
+	var slot int64
+	throttled := 0
 	for w := 0; w < windows; w++ {
-		for i := 0; i < ActsPerWindow; i++ {
+		for i := 0; i < memctrl.ActsPerWindow; i++ {
 			row := pattern.Next()
-			if throttler == nil || throttler.AllowActivate(row) {
+			if gate != nil && !gate.AllowAct(0, 0, row, slot) {
+				throttled++
+			} else {
 				b.Activate(row)
-				mit.OnActivate(b, row)
+				if mit != nil {
+					mit.OnCommand(memctrl.CmdACT, 0, 0, row, slot)
+				}
 			}
-			if i%refEvery == refEvery-1 {
-				mit.OnREF(b)
+			if mit != nil && i%refEvery == refEvery-1 && i/refEvery < memctrl.REFsPerWindow-1 {
+				mit.OnCommand(memctrl.CmdREF, 0, -1, -1, slot)
 			}
+			slot++
+		}
+		if mit != nil {
+			mit.OnCommand(memctrl.CmdREF, 0, -1, -1, slot)
 		}
 		b.RefreshWindow()
-		if r, ok := mit.(WindowResetter); ok {
-			r.ResetWindow()
-		}
 	}
 	res := AttackResult{
 		Pattern:             pattern.Name(),
-		Mitigation:          mit.Name(),
+		Mitigation:          name,
 		Windows:             windows,
 		Activations:         b.Activations,
 		MitigationRefreshes: b.MitigationRefreshes,
+		Throttled:           throttled,
 		FlipsByRow:          make(map[int]int),
 		FlipsByDistance:     make(map[int]int),
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"safeguard/internal/memctrl"
 	"safeguard/internal/rowhammer"
 )
 
@@ -127,34 +128,14 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-// legacyMitigation maps a registry name onto the bank-level oracles.
-func legacyMitigation(t *testing.T, name string, threshold int, seed uint64) rowhammer.Mitigation {
-	t.Helper()
-	switch name {
-	case "none":
-		return rowhammer.None{}
-	case "para":
-		return rowhammer.NewPARA(threshold, seed)
-	case "trr":
-		return rowhammer.NewTRR(4)
-	case "graphene":
-		return rowhammer.NewGraphene(threshold)
-	case "blockhammer":
-		return rowhammer.NewBlockHammer(threshold)
-	}
-	t.Fatalf("unknown mitigation %q", name)
-	return nil
-}
-
 func runGoldenCase(t *testing.T, c goldenCase) goldenRun {
 	t.Helper()
 	b := rowhammer.NewBank(c.cfg)
-	mit := legacyMitigation(t, c.mitigation, c.threshold, c.seed)
-	res := rowhammer.RunAttackAround(b, mit, c.pattern(), c.windows, c.reference)
-	throttled := 0
-	if bh, ok := mit.(*rowhammer.BlockHammer); ok {
-		throttled = bh.Throttled
+	mit, err := memctrl.NewMitigationPlugin(c.mitigation, c.threshold, c.seed)
+	if err != nil {
+		t.Fatal(err)
 	}
+	res := rowhammer.RunAttackAround(b, mit, c.pattern(), c.windows, c.reference)
 	flips := make([]string, len(b.Flips()))
 	for i, f := range b.Flips() {
 		flips[i] = fmt.Sprintf("%d:%d:%d", f.Row, f.Line, f.Bit)
@@ -165,7 +146,7 @@ func runGoldenCase(t *testing.T, c goldenCase) goldenRun {
 		Windows:             res.Windows,
 		Activations:         res.Activations,
 		MitigationRefreshes: res.MitigationRefreshes,
-		Throttled:           throttled,
+		Throttled:           res.Throttled,
 		TotalFlips:          res.TotalFlips,
 		FlipsByRow:          res.FlipsByRow,
 		FlipsByDistance:     res.FlipsByDistance,

@@ -1,9 +1,11 @@
 // Package rowhammer models DRAM activation-disturbance (Row-Hammer) at the
 // bank level: per-row disturbance accumulation with a configurable
-// RH-Threshold and blast radius, in-DRAM/controller mitigations (PARA, TRR,
-// Graphene-style counters), and the published attack patterns that motivate
-// the SafeGuard paper — single-/double-sided hammering, TRRespass
-// many-sided patterns, and Google's Half-Double (Figure 1b).
+// RH-Threshold and blast radius, the published attack patterns that
+// motivate the SafeGuard paper — single-/double-sided hammering, TRRespass
+// many-sided patterns, and Google's Half-Double (Figure 1b) — and drivers
+// that run them against the memctrl mitigation plugins (PARA, TRR,
+// Graphene, BlockHammer): untimed over a raw ACT/REF stream (RunAttack) or
+// through the cycle-level controller (RunMCAttack).
 //
 // The model is calibrated to reproduce the qualitative security facts the
 // paper builds on rather than device physics:
@@ -37,14 +39,6 @@ const (
 	// threshold — beyond one refresh window.
 	Weight2 = 1
 )
-
-// ActsPerWindow is the activation budget of one bank within a 64ms refresh
-// window (tRC ≈ 47ns ⇒ ~1.36M activates).
-const ActsPerWindow = 1_360_000
-
-// REFsPerWindow is the number of REF commands the controller issues per
-// 64ms window (tREFI = 7.8us).
-const REFsPerWindow = 8192
 
 // Config parameterizes a bank model.
 type Config struct {
@@ -112,9 +106,6 @@ type Bank struct {
 	Activations int
 	// MitigationRefreshes counts refreshes issued by the mitigation.
 	MitigationRefreshes int
-	// TraceRefresh, when set, observes every in-range mitigation refresh
-	// (parity tests record the oracle's victim decisions through it).
-	TraceRefresh func(row int)
 }
 
 // Validate checks the configuration is usable. Attack runners taking
@@ -212,9 +203,6 @@ func (b *Bank) RefreshRow(row int) {
 		return
 	}
 	b.MitigationRefreshes++
-	if b.TraceRefresh != nil {
-		b.TraceRefresh(row)
-	}
 	b.disturb(row)
 }
 

@@ -61,7 +61,7 @@ func (t *ActivationTracer) OnCommand(cmd memctrl.Command, rank, bank, row int, c
 		t.Bank(rank, bank).RefreshRow(row)
 	case memctrl.CmdREF:
 		t.refs[rank]++
-		if t.refs[rank]%REFsPerWindow == 0 {
+		if t.refs[rank]%memctrl.REFsPerWindow == 0 {
 			for k, b := range t.banks {
 				if k[0] == rank {
 					b.RefreshWindow()

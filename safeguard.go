@@ -291,12 +291,6 @@ func DefaultECCploitConfig() ECCploitConfig { return eccploit.DefaultConfig() }
 // against the given scheme.
 func RunECCploit(cfg ECCploitConfig, codec Codec) ECCploitOutcome { return eccploit.Run(cfg, codec) }
 
-// NewBlockHammer returns the Bloom-filter throttling mitigation discussed
-// in Section VIII, sized for a design-time RH-Threshold.
-func NewBlockHammer(designThreshold int) *rowhammer.BlockHammer {
-	return rowhammer.NewBlockHammer(designThreshold)
-}
-
 // ---------------------------------------------------------------------------
 // Row-Hammer modeling (Sections II, VII)
 // ---------------------------------------------------------------------------
@@ -307,9 +301,6 @@ type Bank = rowhammer.Bank
 
 // RHConfig parameterizes a bank (rows, RH-Threshold, vulnerable cells).
 type RHConfig = rowhammer.Config
-
-// Mitigation is a Row-Hammer defense observing the command stream.
-type Mitigation = rowhammer.Mitigation
 
 // AttackPattern is an adversarial activation stream.
 type AttackPattern = rowhammer.Pattern
@@ -341,17 +332,10 @@ func NewBank(cfg RHConfig) *Bank { return rowhammer.NewBank(cfg) }
 // DefaultRHConfig models one bank at the LPDDR4-new threshold (4.8K).
 func DefaultRHConfig() RHConfig { return rowhammer.DefaultConfig() }
 
-// Mitigations.
-func NewPARA(threshold int, seed uint64) Mitigation { return rowhammer.NewPARA(threshold, seed) }
-func NewTRR(tableSize int) Mitigation               { return rowhammer.NewTRR(tableSize) }
-func NewGraphene(threshold int) Mitigation          { return rowhammer.NewGraphene(threshold) }
-
-// NoMitigation is the undefended baseline.
-var NoMitigation Mitigation = rowhammer.None{}
-
-// RunAttack drives a pattern against a mitigated bank for whole refresh
-// windows and reports the flips.
-func RunAttack(b *Bank, mit Mitigation, p AttackPattern, windows int) rowhammer.AttackResult {
+// RunAttack drives a pattern against a bank for whole refresh windows,
+// with a mitigation from NewMitigationPlugin (nil = undefended) seeing
+// the untimed ACT/REF stream, and reports the flips.
+func RunAttack(b *Bank, mit ControllerPlugin, p AttackPattern, windows int) rowhammer.AttackResult {
 	return rowhammer.RunAttack(b, mit, p, windows)
 }
 

@@ -53,8 +53,11 @@ func TestPublicAttackDetectionFlow(t *testing.T) {
 	cfg.Seed = 11
 	bank := safeguard.NewBank(cfg)
 	// TRRespass pattern breaks TRR...
-	res := safeguard.RunAttack(bank, safeguard.NewTRR(4),
-		&attackManySided{victim: 1200}, 1)
+	trr, err := safeguard.NewMitigationPlugin("trr", cfg.Threshold, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := safeguard.RunAttack(bank, trr, &attackManySided{victim: 1200}, 1)
 	if !res.Broke() {
 		t.Fatal("attack should break TRR")
 	}
@@ -212,10 +215,16 @@ func TestPublicBlockHammer(t *testing.T) {
 	cfg := safeguard.DefaultRHConfig()
 	cfg.Rows = 4096
 	bank := safeguard.NewBank(cfg)
-	bh := safeguard.NewBlockHammer(cfg.Threshold)
+	bh, err := safeguard.NewMitigationPlugin("blockhammer", cfg.Threshold, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res := safeguard.RunAttack(bank, bh, &safeguard.DoubleSided{Victim: 1000}, 1)
 	if res.TotalFlips != 0 {
 		t.Fatal("BlockHammer should stop double-sided hammering")
+	}
+	if res.Throttled == 0 {
+		t.Fatal("BlockHammer never throttled the attack")
 	}
 }
 
