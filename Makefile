@@ -109,7 +109,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/ecc:FuzzSGXStyleMACDecode ./internal/ecc:FuzzSynergyStyleMACDecode \
 	./internal/memctrl:FuzzEngineEquivalence \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
-	./internal/payload:FuzzPayloadParse
+	./internal/payload:FuzzPayloadParse \
+	./internal/resultcache:FuzzParseRequest ./internal/synth:FuzzParseMatrix
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -14,8 +14,9 @@
 //
 // In diff mode it compares a baseline report against a current one and
 // exits non-zero when any shared benchmark's -metric grew by more than
-// -regress (default 10%) — the CI hook that keeps yesterday's BENCH_<n>
-// artifacts honest:
+// -regress (default 10%), or when a baseline benchmark is missing from
+// the current run (benchmarks new in the current run are not judged) —
+// the CI hook that keeps yesterday's BENCH_<n> artifacts honest:
 //
 //	bench2json -diff BENCH_3.json BENCH_4.json
 package main
@@ -99,18 +100,19 @@ func (r benchRegression) String() string {
 }
 
 // diffReports returns every benchmark present in both reports whose
-// metric grew by more than threshold. Benchmarks missing from either
-// side, or missing the metric, are skipped — a diff judges what both
-// runs measured.
-func diffReports(baseline, current *Report, metric string, threshold float64) []benchRegression {
-	old := make(map[string]Record, len(baseline.Benchmarks))
-	for _, b := range baseline.Benchmarks {
-		old[b.Name] = b
-	}
-	var out []benchRegression
+// metric grew by more than threshold, plus the sorted names of baseline
+// benchmarks absent from the current run — a vanished benchmark can hide
+// any regression, so it fails the diff too. Benchmarks new in the current
+// run, and benchmarks missing the metric on either side, are skipped.
+func diffReports(baseline, current *Report, metric string, threshold float64) (regs []benchRegression, missing []string) {
+	cur := make(map[string]Record, len(current.Benchmarks))
 	for _, b := range current.Benchmarks {
-		base, ok := old[b.Name]
+		cur[b.Name] = b
+	}
+	for _, base := range baseline.Benchmarks {
+		b, ok := cur[base.Name]
 		if !ok {
+			missing = append(missing, base.Name)
 			continue
 		}
 		ov, okOld := base.Metrics[metric]
@@ -119,10 +121,12 @@ func diffReports(baseline, current *Report, metric string, threshold float64) []
 			continue
 		}
 		if ov == 0 || (nv-ov)/ov > threshold {
-			out = append(out, benchRegression{Name: b.Name, Old: ov, New: nv})
+			regs = append(regs, benchRegression{Name: b.Name, Old: ov, New: nv})
 		}
 	}
-	return out
+	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
+	sort.Strings(missing)
+	return regs, missing
 }
 
 // readReport loads and validates a bench2json artifact.
@@ -157,16 +161,25 @@ func runDiff(args []string, metric string, threshold float64) int {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		return 2
 	}
-	regs := diffReports(baseline, current, metric, threshold)
-	if len(regs) == 0 {
+	regs, missing := diffReports(baseline, current, metric, threshold)
+	if len(regs) == 0 && len(missing) == 0 {
 		fmt.Printf("bench diff %s vs %s: no %s grew more than %.0f%%\n",
 			args[0], args[1], metric, threshold*100)
 		return 0
 	}
-	fmt.Printf("bench diff %s vs %s: %d regression(s) in %s above %.0f%%:\n",
-		args[0], args[1], len(regs), metric, threshold*100)
-	for _, r := range regs {
-		fmt.Printf("  %s\n", r)
+	if len(regs) > 0 {
+		fmt.Printf("bench diff %s vs %s: %d regression(s) in %s above %.0f%%:\n",
+			args[0], args[1], len(regs), metric, threshold*100)
+		for _, r := range regs {
+			fmt.Printf("  %s\n", r)
+		}
+	}
+	if len(missing) > 0 {
+		fmt.Printf("bench diff %s vs %s: %d baseline benchmark(s) missing from the current run:\n",
+			args[0], args[1], len(missing))
+		for _, name := range missing {
+			fmt.Printf("  %s\n", name)
+		}
 	}
 	return 1
 }

@@ -42,6 +42,7 @@ func TestDiffReports(t *testing.T) {
 		"BenchmarkB": {"ns/op": 200},
 		"BenchmarkC": {"ns/op": 50},
 		"BenchmarkE": {"allocs/op": 3},
+		"BenchmarkF": {"ns/op": 10},
 	})
 	cur := report(map[string]map[string]float64{
 		"BenchmarkA": {"ns/op": 125, "allocs/op": 0}, // +25%: regression
@@ -49,16 +50,20 @@ func TestDiffReports(t *testing.T) {
 		"BenchmarkC": {"ns/op": 40},                  // improvement
 		"BenchmarkD": {"ns/op": 999},                 // no baseline: skipped
 		"BenchmarkE": {},                             // metric vanished: skipped
+		// BenchmarkF vanished from the run: reported missing
 	})
-	regs := diffReports(base, cur, "ns/op", 0.10)
+	regs, missing := diffReports(base, cur, "ns/op", 0.10)
 	if len(regs) != 1 || regs[0].Name != "BenchmarkA" || regs[0].Old != 100 || regs[0].New != 125 {
 		t.Fatalf("regs = %v", regs)
+	}
+	if len(missing) != 1 || missing[0] != "BenchmarkF" {
+		t.Fatalf("missing = %v, want [BenchmarkF]", missing)
 	}
 	if !strings.Contains(regs[0].String(), "+25.0%") {
 		t.Fatalf("rendering = %q", regs[0].String())
 	}
 	// A zero baseline growing at all is always a regression.
-	regs = diffReports(
+	regs, _ = diffReports(
 		report(map[string]map[string]float64{"BenchmarkZ": {"allocs/op": 0}}),
 		report(map[string]map[string]float64{"BenchmarkZ": {"allocs/op": 1}}),
 		"allocs/op", 0.10)
@@ -66,8 +71,8 @@ func TestDiffReports(t *testing.T) {
 		t.Fatalf("zero-baseline regs = %v", regs)
 	}
 	// Self-diff is always clean.
-	if regs := diffReports(base, base, "ns/op", 0.10); len(regs) != 0 {
-		t.Fatalf("self-diff = %v", regs)
+	if regs, missing := diffReports(base, base, "ns/op", 0.10); len(regs) != 0 || len(missing) != 0 {
+		t.Fatalf("self-diff = %v, missing %v", regs, missing)
 	}
 }
 
@@ -98,6 +103,20 @@ func TestRunDiffExitCodes(t *testing.T) {
 	}
 	if got := runDiff([]string{base, worse}, "ns/op", 0.10); got != 1 {
 		t.Fatalf("regressed diff exit = %d, want 1", got)
+	}
+	// A benchmark that vanished fails the diff; one that is only new
+	// in the current run does not.
+	vanished := writeReport(t, dir, "vanished.json", report(map[string]map[string]float64{
+		"BenchmarkB": {"ns/op": 100},
+	}))
+	if got := runDiff([]string{base, vanished}, "ns/op", 0.10); got != 1 {
+		t.Fatalf("vanished-benchmark diff exit = %d, want 1", got)
+	}
+	grown := writeReport(t, dir, "grown.json", report(map[string]map[string]float64{
+		"BenchmarkA": {"ns/op": 100}, "BenchmarkB": {"ns/op": 100},
+	}))
+	if got := runDiff([]string{base, grown}, "ns/op", 0.10); got != 0 {
+		t.Fatalf("new-benchmark diff exit = %d, want 0", got)
 	}
 	if got := runDiff([]string{base}, "ns/op", 0.10); got != 2 {
 		t.Fatalf("one-arg diff exit = %d, want 2", got)

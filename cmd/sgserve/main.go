@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -137,7 +136,7 @@ func main() {
 		api.Handle("/v1/fleet/", coord.Handler())
 		api.Ready = coord.Ready
 	}
-	srv := &http.Server{Handler: api}
+	srv := telemetry.NewHTTPServer(api)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	log.Printf("sgserve: listening on %s (workers=%d queue=%d cache=%q fleet=%v)",

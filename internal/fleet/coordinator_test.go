@@ -265,6 +265,36 @@ func TestCompleteVerifiesStoresAndServesRepeats(t *testing.T) {
 	wantCounter(t, reg, "fleet.dispatch.remote", 1)
 }
 
+// TestResultCachedBeforeDispatchResolves pins the store-then-resolve
+// order: the job manager reports a job complete as soon as the dispatch
+// returns, and clients fetch the result from the cache right then. The
+// disk tier makes Put slow enough that resolving first would be caught.
+func TestResultCachedBeforeDispatchResolves(t *testing.T) {
+	t.Parallel()
+	cache, err := resultcache.New(resultcache.Options{MemEntries: 4, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _, _ := newTestCoordinator(t, func(cfg *Config) { cfg.Cache = cache })
+	for seed := uint64(40); seed < 44; seed++ {
+		req := testReq(t, seed)
+		enc := goodArtifact(t, req)
+		a, ch := leaseOne(t, c, "w1", req)
+		done := make(chan error, 1)
+		go func() { done <- c.complete(a.LeaseID, enc) }()
+		if o := awaitOutcome(t, ch); o.err != nil {
+			t.Fatal(o.err)
+		}
+		hash, _ := req.Hash()
+		if _, ok, err := cache.Get(hash); err != nil || !ok {
+			t.Fatalf("seed %d: cache.Get right after the dispatch returned = (%v, %v), want a hit", seed, ok, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("complete: %v", err)
+		}
+	}
+}
+
 func TestCorruptArtifactRejectedAndRequeued(t *testing.T) {
 	t.Parallel()
 	c, _, reg := newTestCoordinator(t, nil)

@@ -14,7 +14,22 @@ import (
 	"net/http/pprof"
 	"sort"
 	"sync"
+	"time"
 )
+
+// Slow-client limits for the repo's HTTP servers: a client must finish
+// its request header within ReadHeaderTimeout, and a keep-alive
+// connection idle for IdleTimeout is closed. There is deliberately no
+// WriteTimeout: it would cut long-lived SSE streams.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer wraps h in an http.Server with the slow-client limits.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
 
 // expvarOnce guards the process-global expvar name: expvar.Publish
 // panics on duplicates, and tests may start several servers. The
@@ -118,7 +133,7 @@ func ServeHTTP(addr string, reg *Registry) (string, func() error, error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: Handler(reg)}
+	srv := NewHTTPServer(Handler(reg))
 	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), srv.Close, nil
 }

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -90,6 +91,36 @@ func TestServeHTTP(t *testing.T) {
 	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("/debug/pprof/ index missing")
+	}
+}
+
+// TestServeHTTPDropsStalledHeader: a client that sends half a request
+// header and stalls is disconnected after ReadHeaderTimeout instead of
+// holding the connection open forever.
+func TestServeHTTPDropsStalledHeader(t *testing.T) {
+	t.Parallel()
+	addr, shutdown, err := ServeHTTP("127.0.0.1:0", NewRegistry())
+	if err != nil {
+		t.Skipf("cannot listen on loopback: %v", err)
+	}
+	defer func() { _ = shutdown() }()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /stats HTTP/1.1\r\nHost: x\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	_ = conn.SetReadDeadline(start.Add(ReadHeaderTimeout + 10*time.Second))
+	// The server may answer 408 before closing; drain to EOF either way.
+	_, err = io.Copy(io.Discard, conn)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatalf("stalled client still connected after %s", time.Since(start))
+	}
+	if took := time.Since(start); took < ReadHeaderTimeout/2 {
+		t.Fatalf("connection closed after %s, before the header timeout could fire", took)
 	}
 }
 
