@@ -244,12 +244,29 @@ func (r *streamRecorder) DrainStats() memctrl.PluginStats {
 	return r.inner.DrainStats()
 }
 
-// TestInvariantOracle replays every golden study through the oracle.
+// invariantStudies are the golden studies the oracle replays: one per
+// mitigation and pattern shape (the other seeds only move vulnerable
+// cells), keeping the test affordable under -race.
+var invariantStudies = map[string]bool{
+	"figure1b/seed7/trr/trrespass":         true,
+	"figure1b/seed7/para/half-double":      true,
+	"figure1b/seed7/graphene/half-double":  true,
+	"figure1b/seed7/trr/half-double":       true,
+	"blockhammer-sizing/seed7/sized":       true,
+	"blockhammer-sizing/seed7/under-sized": true,
+	"ablation/none/double-sided":           true,
+	"blockhammer-unit/many-sided":          true,
+}
+
+// TestInvariantOracle replays the invariant studies through the oracle.
 func TestInvariantOracle(t *testing.T) {
 	t.Parallel()
 	type tally struct{ flips, vrrs, denied int }
 	totals := map[string]tally{}
 	for _, c := range goldenCases() {
+		if !invariantStudies[c.name] {
+			continue
+		}
 		b := rowhammer.NewBank(c.cfg)
 		mit, err := memctrl.NewMitigationPlugin(c.mitigation, c.threshold, c.seed)
 		if err != nil {
