@@ -110,7 +110,8 @@ FUZZ_TARGETS := ./internal/ecc:FuzzSECDEDDecode ./internal/ecc:FuzzSafeGuardSECD
 	./internal/memctrl:FuzzEngineEquivalence \
 	./internal/snapshot:FuzzSnapshotRoundTrip ./internal/snapshot:FuzzSnapshotReader \
 	./internal/payload:FuzzPayloadParse \
-	./internal/resultcache:FuzzParseRequest ./internal/synth:FuzzParseMatrix
+	./internal/resultcache:FuzzParseRequest ./internal/synth:FuzzParseMatrix \
+	./internal/telemetry:FuzzParseEvent ./internal/attrib:FuzzReadReport
 FUZZTIME ?= 2s
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

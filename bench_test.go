@@ -23,6 +23,7 @@ import (
 	"safeguard/internal/faultsim"
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/report"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -466,25 +467,22 @@ func BenchmarkAblationMitigations(b *testing.B) {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = 13
+		const window = memctrl.ActsPerWindow
 		mk := []struct {
 			name, mit string
-			pat       func() rowhammer.Pattern
+			prog      *payload.Program
 		}{
-			{"none/double-sided", "none",
-				func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 4000} }},
-			{"TRR/TRRespass", "trr",
-				func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 4000, Dummies: 12, DummyBase: 6000} }},
-			{"PARA/half-double", "para",
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000} }},
-			{"Graphene/half-double", "graphene",
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 4000, NearEvery: 680} }},
+			{"none/double-sided", "none", payload.DoubleSided(4000, window)},
+			{"TRR/TRRespass", "trr", payload.ManySided(4000, 12, 6000, window)},
+			{"PARA/half-double", "para", payload.HalfDouble(4000, 0, window)},
+			{"Graphene/half-double", "graphene", payload.HalfDouble(4000, 680, window)},
 		}
 		for _, m := range mk {
 			mit, err := memctrl.NewMitigationPlugin(m.mit, cfg.Threshold, 13)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res := rowhammer.RunAttack(rowhammer.NewBank(cfg), mit, m.pat(), 1)
+			res := rowhammer.RunAttack(rowhammer.NewBank(cfg), mit, m.prog.Rows(), m.name)
 			results = append(results, result{m.name, res.TotalFlips})
 		}
 	}
@@ -649,7 +647,8 @@ func BenchmarkAblationBlockHammer(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+			attack := payload.DoubleSided(4000, memctrl.ActsPerWindow)
+			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, attack.Rows(), attack.Name)
 		}
 		res := run(cfg.Threshold)
 		stopped = res.TotalFlips == 0

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strconv"
@@ -42,6 +43,7 @@ import (
 	"safeguard/internal/experiments"
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/report"
 	"safeguard/internal/resultcache"
 	"safeguard/internal/rowhammer"
@@ -49,57 +51,92 @@ import (
 )
 
 func main() {
-	var (
-		fig2       = flag.Bool("fig2", false, "run the Figure 2 demonstration")
-		brk        = flag.Bool("breakthrough", false, "run the breakthrough case studies (Figure 1b/1c)")
-		table1     = flag.Bool("table1", false, "print Table I")
-		eccpl      = flag.Bool("eccploit", false, "run the ECCploit timing-channel escalation (Case-3)")
-		blockhmr   = flag.Bool("blockhammer", false, "run the BlockHammer sizing/latency study (Section VIII)")
-		mcMode     = flag.Bool("mc", false, "run attacks through the cycle-level controller (plugin mitigations)")
-		respond    = flag.Bool("respond", false, "run the DUE response pipeline (retry/scrub/retire/quarantine) against a live attack")
-		synthMode  = flag.Bool("synth", false, "synthesize attacks: evolve payloads against each mitigation")
-		all        = flag.Bool("all", false, "run everything")
-		seed       = flag.Uint64("seed", 7, "simulation seed")
-		mitigation = flag.String("mitigation", "", "in-controller mitigation for -mc/-synth (default: sweep the registry)")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-		jsonOut     = flag.Bool("json", false, "with -synth: emit the canonical matrix JSON instead of the table")
-		baseline    = flag.String("baseline", "", "with -synth: compare against a committed matrix; exit 1 on regression")
-		synthBudget = flag.Int("synth-budget", 3000, "with -synth: attacker activation budget per evaluation")
-		synthGens   = flag.Int("synth-gens", 4, "with -synth: searcher generations per cell")
-		synthPop    = flag.Int("synth-pop", 8, "with -synth: searcher population per generation")
-		synthRows   = flag.Int("synth-rows", 1024, "with -synth: rows in the reduced bank (power of two)")
-		synthThs    = flag.String("synth-thresholds", "600", "with -synth: comma-separated RH-threshold sweep")
-		synthMits   = flag.String("synth-mitigations", "", "with -synth: comma-separated mitigation sweep (default: -mitigation, else the whole registry)")
+// run is the whole command behind main: it parses args, runs the
+// selected studies writing to stdout (diagnostics to stderr), and
+// returns the exit status: 0 on success, 1 on a failed run or baseline
+// regression, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("sgattack", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig2       = fs.Bool("fig2", false, "run the Figure 2 demonstration")
+		brk        = fs.Bool("breakthrough", false, "run the breakthrough case studies (Figure 1b/1c)")
+		table1     = fs.Bool("table1", false, "print Table I")
+		eccpl      = fs.Bool("eccploit", false, "run the ECCploit timing-channel escalation (Case-3)")
+		blockhmr   = fs.Bool("blockhammer", false, "run the BlockHammer sizing/latency study (Section VIII)")
+		mcMode     = fs.Bool("mc", false, "run attacks through the cycle-level controller (plugin mitigations)")
+		respond    = fs.Bool("respond", false, "run the DUE response pipeline (retry/scrub/retire/quarantine) against a live attack")
+		synthMode  = fs.Bool("synth", false, "synthesize attacks: evolve payloads against each mitigation")
+		all        = fs.Bool("all", false, "run everything")
+		seed       = fs.Uint64("seed", 7, "simulation seed")
+		mitigation = fs.String("mitigation", "", "in-controller mitigation for -mc/-synth (default: sweep the registry)")
+
+		jsonOut     = fs.Bool("json", false, "with -synth: emit the canonical matrix JSON instead of the table")
+		baseline    = fs.String("baseline", "", "with -synth: compare against a committed matrix; exit 1 on regression")
+		synthBudget = fs.Int("synth-budget", 3000, "with -synth: attacker activation budget per evaluation")
+		synthGens   = fs.Int("synth-gens", 4, "with -synth: searcher generations per cell")
+		synthPop    = fs.Int("synth-pop", 8, "with -synth: searcher population per generation")
+		synthRows   = fs.Int("synth-rows", 1024, "with -synth: rows in the reduced bank (power of two)")
+		synthThs    = fs.String("synth-thresholds", "600", "with -synth: comma-separated RH-threshold sweep")
+		synthMits   = fs.String("synth-mitigations", "", "with -synth: comma-separated mitigation sweep (default: -mitigation, else the whole registry)")
 	)
-	tf := cliflags.Telemetry()
-	flag.Parse()
+	tf := cliflags.Telemetry(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int { return cliflags.UsageError(fs, err) }
 	if err := cliflags.Exclusive(*all, map[string]bool{
 		"fig2": *fig2, "breakthrough": *brk, "table1": *table1,
 		"eccploit": *eccpl, "blockhammer": *blockhmr, "mc": *mcMode,
 		"respond": *respond, "synth": *synthMode,
 	}); err != nil {
-		cliflags.Fail(err)
+		return usage(err)
 	}
 	if (*jsonOut || *baseline != "" || *synthMits != "") && !*synthMode {
-		cliflags.Fail(fmt.Errorf("-json, -baseline, and -synth-mitigations require -synth"))
+		return usage(fmt.Errorf("-json, -baseline, and -synth-mitigations require -synth"))
 	}
 	if *synthMits != "" && *mitigation != "" {
-		cliflags.Fail(fmt.Errorf("use -mitigation or -synth-mitigations, not both"))
+		return usage(fmt.Errorf("use -mitigation or -synth-mitigations, not both"))
 	}
 	if _, err := memctrl.NewMitigationPlugin(*mitigation, 4800, 1); err != nil {
-		cliflags.Fail(err)
+		return usage(err)
 	}
-	if *synthMits != "" {
+	// The synth sweep: -synth-mitigations, else -mitigation, else nil
+	// (the whole registry).
+	var sweep []string
+	switch {
+	case *synthMits != "":
 		for _, m := range strings.Split(*synthMits, ",") {
-			if _, err := memctrl.NewMitigationPlugin(strings.TrimSpace(m), 4800, 1); err != nil {
-				cliflags.Fail(err)
+			m = strings.TrimSpace(m)
+			if _, err := memctrl.NewMitigationPlugin(m, 4800, 1); err != nil {
+				return usage(err)
 			}
+			sweep = append(sweep, m)
 		}
+	case *mitigation != "":
+		sweep = []string{*mitigation}
+	}
+	ths, err := parseThresholds(*synthThs)
+	if err != nil {
+		return usage(err)
 	}
 	if err := tf.Activate(); err != nil {
-		cliflags.Fail(err)
+		return usage(err)
 	}
-	defer tf.MustFinish()
+	defer func() {
+		if err := tf.Finish(stdout); err != nil {
+			fmt.Fprintf(stderr, "sgattack: telemetry: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+	}()
 	tf.SetTraceMeta("tool", "sgattack")
 	tf.SetTraceMeta("seed", fmt.Sprint(*seed))
 	if *mitigation != "" {
@@ -116,14 +153,14 @@ func main() {
 		for _, e := range rowhammer.ThresholdHistory {
 			t.AddRowStrings(e.Generation, fmt.Sprint(e.Threshold), fmt.Sprint(e.Year))
 		}
-		t.Render(os.Stdout)
-		fmt.Println()
+		t.Render(stdout)
+		fmt.Fprintln(stdout)
 	}
 	if *fig2 || *all {
 		r := experiments.Figure2(*seed)
-		fmt.Printf("Figure 2: double-sided hammering at RH-Threshold=%d\n", r.Threshold)
-		fmt.Printf("  activations used: %d (≈ threshold: the two-sided pattern halves per-row work)\n", r.ActivationsUsed)
-		fmt.Printf("  bit flips in the victim row: %d\n\n", r.FlipsInNeighbors)
+		fmt.Fprintf(stdout, "Figure 2: double-sided hammering at RH-Threshold=%d\n", r.Threshold)
+		fmt.Fprintf(stdout, "  activations used: %d (≈ threshold: the two-sided pattern halves per-row work)\n", r.ActivationsUsed)
+		fmt.Fprintf(stdout, "  bit flips in the victim row: %d\n\n", r.FlipsInNeighbors)
 	}
 	if *eccpl || *all {
 		cfg := eccploit.DefaultConfig()
@@ -132,78 +169,82 @@ func main() {
 		key[0] = byte(*seed)
 		keyed := mac.NewKeyed(key)
 		sec, sg := eccploit.Compare(cfg, ecc.NewSECDED(), ecc.NewSafeGuardSECDED(keyed))
-		fmt.Println("Case-3 (ECCploit): escalation under a correction-latency oracle")
-		fmt.Printf("  %s\n  %s\n", sec, sg)
-		fmt.Println("  The oracle exists under both schemes (Section VII-D); only SECDED can be")
-		fmt.Println("  ridden to silent corruption — SafeGuard converts the escalation to DUEs.")
-		fmt.Println()
+		fmt.Fprintln(stdout, "Case-3 (ECCploit): escalation under a correction-latency oracle")
+		fmt.Fprintf(stdout, "  %s\n  %s\n", sec, sg)
+		fmt.Fprintln(stdout, "  The oracle exists under both schemes (Section VII-D); only SECDED can be")
+		fmt.Fprintln(stdout, "  ridden to silent corruption — SafeGuard converts the escalation to DUEs.")
+		fmt.Fprintln(stdout)
 	}
 	if *blockhmr || *all {
 		cfg := rowhammer.DefaultConfig()
 		cfg.Rows = 8192
 		cfg.Seed = *seed
-		run := func(designThreshold int) rowhammer.AttackResult {
+		attack := payload.DoubleSided(4000, memctrl.ActsPerWindow)
+		attackWith := func(designThreshold int) rowhammer.AttackResult {
 			bh, err := memctrl.NewMitigationPlugin("blockhammer", designThreshold, *seed)
 			if err != nil {
-				cliflags.Fail(err)
+				panic(err) // the registry name is fixed
 			}
-			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, &rowhammer.DoubleSided{Victim: 4000}, 1)
+			return rowhammer.RunAttack(rowhammer.NewBank(cfg), bh, attack.Rows(), attack.Name)
 		}
-		res, res2 := run(cfg.Threshold), run(3*cfg.Threshold)
-		fmt.Println("BlockHammer (Section VIII):")
-		fmt.Printf("  sized for threshold %d: %d flips, %.1f%% of attack activations throttled\n",
+		res, res2 := attackWith(cfg.Threshold), attackWith(3*cfg.Threshold)
+		fmt.Fprintln(stdout, "BlockHammer (Section VIII):")
+		fmt.Fprintf(stdout, "  sized for threshold %d: %d flips, %.1f%% of attack activations throttled\n",
 			cfg.Threshold, res.TotalFlips, float64(res.Throttled)/memctrl.ActsPerWindow*100)
-		fmt.Printf("  sized for threshold %d (an older module): %d flips — broken by the paper's threshold-dependence argument\n",
+		fmt.Fprintf(stdout, "  sized for threshold %d (an older module): %d flips — broken by the paper's threshold-dependence argument\n",
 			3*cfg.Threshold, res2.TotalFlips)
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	if *mcMode || *all {
 		mits := memctrl.MitigationNames()
 		if *mitigation != "" {
 			mits = []string{*mitigation}
 		}
-		fmt.Println("Controller-driven attacks: double-sided hammering through the")
-		fmt.Println("cycle-level DDR4 controller, mitigations running as plugins")
-		fmt.Printf("(reduced bank: 8192 rows, threshold 1000, %s budget)\n", "60k accesses")
+		fmt.Fprintln(stdout, "Controller-driven attacks: double-sided hammering through the")
+		fmt.Fprintln(stdout, "cycle-level DDR4 controller, mitigations running as plugins")
+		fmt.Fprintf(stdout, "(reduced bank: 8192 rows, threshold 1000, %s budget)\n", "60k accesses")
+		attack := payload.DoubleSided(4000, 60_000)
 		for _, mit := range mits {
-			cfg := rowhammer.MCAttackConfig{
+			res, err := payload.Run(ctx, payload.RunConfig{
 				Bank: rowhammer.Config{
 					Rows: 8192, Threshold: 1000, LinesPerRow: 16,
 					VulnerableCellsPerRow: 64, FlipsPerCrossing: 8, Seed: *seed,
 				},
 				Mitigation: mit,
 				Seed:       *seed,
-				Accesses:   60_000,
 				MaxCycles:  40_000_000,
-			}
-			res, err := rowhammer.RunMCAttackContext(ctx, cfg, &rowhammer.DoubleSided{Victim: 4000})
+			}, attack)
 			if err != nil && errors.Is(err, context.Canceled) {
-				fmt.Printf("  [interrupted] partial: %s\n", res)
+				fmt.Fprintf(stdout, "  [interrupted] partial: %s\n", res)
 				break
 			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				fmt.Fprintln(stderr, err)
+				return 1
 			}
 			note := ""
 			if res.Stalled {
 				note = "  [attacker stalled by throttling]"
 			}
-			fmt.Printf("  %s%s\n", res, note)
+			fmt.Fprintf(stdout, "  %s%s\n", res, note)
 		}
-		fmt.Println("  VRRs are real commands here: each victim refresh pays tRAS+tRP in the bank.")
-		fmt.Println()
+		fmt.Fprintln(stdout, "  VRRs are real commands here: each victim refresh pays tRAS+tRP in the bank.")
+		fmt.Fprintln(stdout)
 	}
 	if *respond || *all {
-		runRespond(ctx, *seed, *mitigation, tf)
+		if code := runRespond(ctx, *seed, *mitigation, tf, stdout, stderr); code != 0 {
+			return code
+		}
 	}
 	if *synthMode || *all {
-		runSynth(ctx, synthOptions{
-			seed: *seed, mitigation: *mitigation, mitigations: *synthMits,
+		if code := runSynth(ctx, synthOptions{
+			seed: *seed, mitigations: sweep,
 			json: *jsonOut, baseline: *baseline,
 			budget: *synthBudget, gens: *synthGens, pop: *synthPop,
-			rows: *synthRows, thresholds: *synthThs,
-		}, tf)
+			rows: *synthRows, thresholds: ths,
+		}, tf, stdout, stderr); code != 0 {
+			return code
+		}
 	}
 	if *brk || *all {
 		results := experiments.Figure1b(*seed)
@@ -221,49 +262,36 @@ func main() {
 					fmt.Sprint(d.Corrected), fmt.Sprint(d.Detected), fmt.Sprint(d.Silent))
 			}
 		}
-		t.Render(os.Stdout)
-		fmt.Println("\n  SafeGuard rows must show SILENT=0: breakthrough bit-flips become")
-		fmt.Println("  detected uncorrectable errors instead of silent corruption (Figure 1c).")
+		t.Render(stdout)
+		fmt.Fprintln(stdout, "\n  SafeGuard rows must show SILENT=0: breakthrough bit-flips become")
+		fmt.Fprintln(stdout, "  detected uncorrectable errors instead of silent corruption (Figure 1c).")
 	}
+	return 0
 }
 
 // synthOptions carries the -synth flag set.
 type synthOptions struct {
 	seed              uint64
-	mitigation        string
-	mitigations       string // comma list; overrides mitigation
+	mitigations       []string // nil sweeps the registry
 	json              bool
 	baseline          string
 	budget, gens, pop int
 	rows              int
-	thresholds        string
+	thresholds        []int
 }
 
 // runSynth executes the attack-synthesis sweep through the same
 // resultcache request path sgserve jobs use, so the -json bytes here
 // are the artifact bytes there. The table mode renders the matrix;
 // -baseline then gates on CompareBaseline.
-func runSynth(ctx context.Context, opt synthOptions, tf *cliflags.TelemetryFlags) {
-	ths, err := parseThresholds(opt.thresholds)
-	if err != nil {
-		cliflags.Fail(err)
-	}
-	var mits []string
-	switch {
-	case opt.mitigations != "":
-		for _, m := range strings.Split(opt.mitigations, ",") {
-			mits = append(mits, strings.TrimSpace(m))
-		}
-	case opt.mitigation != "":
-		mits = []string{opt.mitigation}
-	}
+func runSynth(ctx context.Context, opt synthOptions, tf *cliflags.TelemetryFlags, stdout, stderr io.Writer) int {
 	req := resultcache.Request{Kind: resultcache.KindSynth, Synth: &resultcache.SynthRequest{
 		Bank: rowhammer.Config{
-			Rows: opt.rows, Threshold: ths[0], LinesPerRow: 8,
+			Rows: opt.rows, Threshold: opt.thresholds[0], LinesPerRow: 8,
 			VulnerableCellsPerRow: 32, FlipsPerCrossing: 4, Seed: opt.seed,
 		},
-		Mitigations: mits,
-		Thresholds:  ths,
+		Mitigations: opt.mitigations,
+		Thresholds:  opt.thresholds,
 		Seed:        opt.seed,
 		Budget:      opt.budget,
 		Generations: opt.gens,
@@ -272,42 +300,43 @@ func runSynth(ctx context.Context, opt synthOptions, tf *cliflags.TelemetryFlags
 	raw, err := req.Execute(ctx, tf.Registry)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Println("attack synthesis: [interrupted]")
-			return
+			fmt.Fprintln(stdout, "attack synthesis: [interrupted]")
+			return 0
 		}
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	m, err := synth.ParseMatrix(raw)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if opt.json {
-		os.Stdout.Write(raw)
+		stdout.Write(raw)
 	} else {
-		fmt.Print(m.Table())
+		fmt.Fprint(stdout, m.Table())
 	}
 	if opt.baseline != "" {
 		b, err := os.ReadFile(opt.baseline)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		base, err := synth.ParseMatrix(b)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := synth.CompareBaseline(m, base); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "baseline %s holds: no mitigation defeated cheaper\n", opt.baseline)
+		fmt.Fprintf(stderr, "baseline %s holds: no mitigation defeated cheaper\n", opt.baseline)
 	}
 	if !opt.json {
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return 0
 }
 
 // parseThresholds parses the comma-separated -synth-thresholds list.
@@ -328,7 +357,7 @@ func parseThresholds(s string) ([]int, error) {
 // cycle-level controller, the response engine escalates each hard DUE
 // through retry -> scrub -> retire -> quarantine, and the run ends with
 // the aggressor's rows gated at the controller.
-func runRespond(ctx context.Context, seed uint64, mitigation string, tf *cliflags.TelemetryFlags) {
+func runRespond(ctx context.Context, seed uint64, mitigation string, tf *cliflags.TelemetryFlags, stdout, stderr io.Writer) int {
 	cfg := rowhammer.ResponseAttackConfig{
 		Bank: rowhammer.Config{
 			Rows: 64, Threshold: 16, LinesPerRow: 2,
@@ -343,21 +372,22 @@ func runRespond(ctx context.Context, seed uint64, mitigation string, tf *cliflag
 		Telemetry:  tf.Registry,
 		Trace:      tf.Tracer,
 	}
-	res, err := rowhammer.RunResponseAttack(ctx, cfg, &rowhammer.DoubleSided{Victim: 8})
+	attack := payload.DoubleSided(8, cfg.Accesses)
+	res, err := rowhammer.RunResponseAttack(ctx, cfg, attack.Rows(), attack.Name)
 	if err != nil && errors.Is(err, context.Canceled) {
-		fmt.Println("DUE response pipeline: [interrupted]")
+		fmt.Fprintln(stdout, "DUE response pipeline: [interrupted]")
 		if res != nil {
-			fmt.Printf("  partial: %s\n", res)
+			fmt.Fprintf(stdout, "  partial: %s\n", res)
 		}
-		return
+		return 0
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Println("DUE response pipeline against a live attack (reduced bank: 64 rows, threshold 16):")
-	fmt.Printf("  %s\n", res)
-	fmt.Printf("  escalation: %d retries, %d scrubs, %d retirements, quarantined=%v\n",
+	fmt.Fprintln(stdout, "DUE response pipeline against a live attack (reduced bank: 64 rows, threshold 16):")
+	fmt.Fprintf(stdout, "  %s\n", res)
+	fmt.Fprintf(stdout, "  escalation: %d retries, %d scrubs, %d retirements, quarantined=%v\n",
 		res.EngineStats.Retries, res.EngineStats.Scrubs, res.EngineStats.Retires, res.Quarantined)
 	kinds := ""
 	for i, st := range res.Steps {
@@ -370,20 +400,21 @@ func runRespond(ctx context.Context, seed uint64, mitigation string, tf *cliflag
 			break
 		}
 	}
-	fmt.Printf("  trace: %s\n", kinds)
-	fmt.Printf("  retired rows %v remapped to spares; aggressor rows %v gated at the controller\n",
+	fmt.Fprintf(stdout, "  trace: %s\n", kinds)
+	fmt.Fprintf(stdout, "  retired rows %v remapped to spares; aggressor rows %v gated at the controller\n",
 		res.RetiredRows, res.GatedRows)
-	fmt.Printf("  benign reads: %d bad during attack, %d after quarantine; avg latency %.1f -> %.1f cycles\n",
+	fmt.Fprintf(stdout, "  benign reads: %d bad during attack, %d after quarantine; avg latency %.1f -> %.1f cycles\n",
 		res.BadReadsDuringAttack, res.BadReadsAfterQuarantine,
 		res.BenignAvgLatencyAttack, res.BenignAvgLatencyTail)
 	if res.PolicyQuarantined != nil {
-		fmt.Printf("  OS policy (Section VII-B) quarantined co-resident process(es): %v\n", res.PolicyQuarantined)
+		fmt.Fprintf(stdout, "  OS policy (Section VII-B) quarantined co-resident process(es): %v\n", res.PolicyQuarantined)
 	}
 	if res.Analysis != nil {
 		// -trace was given: the run analyzed its own event stream, so the
 		// per-bank picture and incident timeline render right here.
-		fmt.Println()
-		res.Analysis.WriteText(os.Stdout)
+		fmt.Fprintln(stdout)
+		res.Analysis.WriteText(stdout)
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
+	return 0
 }

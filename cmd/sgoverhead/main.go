@@ -27,7 +27,7 @@ func main() {
 		birthday = flag.Bool("birthday", false, "print Section IV-B analysis")
 		all      = flag.Bool("all", false, "print everything")
 	)
-	tf := cliflags.Telemetry()
+	tf := cliflags.Telemetry(flag.CommandLine)
 	flag.Parse()
 	if err := cliflags.Exclusive(*all, map[string]bool{
 		"table5": *table5, "budgets": *budgets, "bounds": *bounds, "birthday": *birthday,

@@ -58,7 +58,7 @@ func main() {
 		engine     = flag.String("engine", "", "simulation loop: event (default, skip-ahead) or cycle (legacy per-cycle)")
 		listNames  = flag.Bool("list-names", false, "print the scheme and mitigation registries and exit")
 	)
-	tf := cliflags.Telemetry()
+	tf := cliflags.Telemetry(flag.CommandLine)
 	sf := cliflags.Snapshot()
 	flag.Parse()
 

@@ -61,7 +61,7 @@ func main() {
 		threshold  = flag.Int("threshold", 0, "RH-Threshold sizing the mitigation (0 = Table I default)")
 		engine     = flag.String("engine", "", "simulation loop for -run: event (default) or cycle")
 	)
-	tf := cliflags.Telemetry()
+	tf := cliflags.Telemetry(flag.CommandLine)
 	sf := cliflags.Snapshot()
 	flag.Parse()
 

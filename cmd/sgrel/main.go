@@ -53,7 +53,7 @@ func main() {
 		ci      = flag.Float64("ci", 0, "adaptive Monte-Carlo: stop when the Wilson 95% CI half-width on P(fail) drops below this (0 = fixed population)")
 		jsonOut = flag.Bool("json", false, "emit Monte-Carlo results as JSON instead of tables")
 	)
-	tf := cliflags.Telemetry()
+	tf := cliflags.Telemetry(flag.CommandLine)
 	sf := cliflags.Snapshot()
 	flag.Parse()
 	if err := cliflags.Exclusive(*all, map[string]bool{

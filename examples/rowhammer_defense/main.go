@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"safeguard"
@@ -16,6 +17,8 @@ func main() {
 	cfg.Rows = 8192
 	cfg.Seed = 2022
 	const victim = 4000
+	// Attacks are payload programs sized in whole refresh windows.
+	const window = safeguard.RHActsPerWindow
 
 	fmt.Println("=== Phase 1: classic attacks are stopped by deployed mitigations ===")
 	// Mitigations come from the registry by name; the labels are the
@@ -34,7 +37,8 @@ func main() {
 	}
 	for _, c := range classic {
 		bank := safeguard.NewBank(cfg)
-		res := safeguard.RunAttack(bank, mitigation(c.mit), &safeguard.DoubleSided{Victim: victim}, 1)
+		attack := safeguard.DoubleSided(victim, window)
+		res := safeguard.RunAttack(bank, mitigation(c.mit), attack.Rows(), attack.Name)
 		note := "mitigation held"
 		if res.TotalFlips > 0 {
 			// PARA is probabilistic: a ~e^-10 per-window tail can leak a
@@ -49,25 +53,19 @@ func main() {
 	fmt.Println("\n=== Phase 2: breakthrough patterns defeat the same mitigations ===")
 	type study struct {
 		name, mit string
-		pattern   func() safeguard.AttackPattern
+		attack    *safeguard.AttackProgram
 	}
 	studies := []study{
-		{"TRRespass vs TRR", "trr",
-			func() safeguard.AttackPattern {
-				return &safeguard.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000}
-			}},
-		{"Half-Double vs PARA", "para",
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim} }},
-		{"Half-Double vs Graphene", "graphene",
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 680} }},
-		{"Half-Double vs TRR", "trr",
-			func() safeguard.AttackPattern { return &safeguard.HalfDouble{Victim: victim, NearEvery: 1130} }},
+		{"TRRespass vs TRR", "trr", safeguard.ManySided(victim, 12, 6000, 2*window)},
+		{"Half-Double vs PARA", "para", safeguard.HalfDouble(victim, 0, 2*window)},
+		{"Half-Double vs Graphene", "graphene", safeguard.HalfDouble(victim, 680, 2*window)},
+		{"Half-Double vs TRR", "trr", safeguard.HalfDouble(victim, 1130, 2*window)},
 	}
 
 	banks := make([]*safeguard.Bank, 0, len(studies))
 	for _, st := range studies {
 		bank := safeguard.NewBank(cfg)
-		res := safeguard.RunAttack(bank, mitigation(st.mit), st.pattern(), 2)
+		res := safeguard.RunAttack(bank, mitigation(st.mit), st.attack.Rows(), st.attack.Name)
 		fmt.Printf("  %-24s: %d flips across %d victim rows (%d mitigation refreshes issued)\n",
 			st.name, res.TotalFlips, len(res.FlipsByRow), res.MitigationRefreshes)
 		banks = append(banks, bank)
@@ -90,17 +88,16 @@ func main() {
 	fmt.Println("Mitigations resolved by registry name run as controller plugins; their")
 	fmt.Println("victim refreshes are VRR commands paying real bank timing (tRAS+tRP).")
 	for _, name := range safeguard.MitigationNames() {
-		mcCfg := safeguard.MCAttackConfig{
+		runCfg := safeguard.AttackRunConfig{
 			Bank: safeguard.RHConfig{
 				Rows: 8192, Threshold: 1000, LinesPerRow: 16,
 				VulnerableCellsPerRow: 64, FlipsPerCrossing: 8, Seed: 2022,
 			},
 			Mitigation: name,
 			Seed:       2022,
-			Accesses:   30_000,
 			MaxCycles:  20_000_000,
 		}
-		res, err := safeguard.RunMCAttack(mcCfg, &safeguard.DoubleSided{Victim: victim})
+		res, err := safeguard.RunAttackProgram(context.Background(), runCfg, safeguard.DoubleSided(victim, 30_000))
 		if err != nil {
 			panic(err)
 		}

@@ -36,9 +36,16 @@ func Exclusive(all bool, selected map[string]bool) error {
 	return nil
 }
 
-// Fail reports a usage error and exits non-zero.
+// Fail reports a usage error for the default FlagSet and exits 2.
 func Fail(err error) {
-	fmt.Fprintf(os.Stderr, "%s: %v\n", os.Args[0], err)
-	flag.Usage()
-	os.Exit(2)
+	os.Exit(UsageError(flag.CommandLine, err))
+}
+
+// UsageError reports a usage error and fs's usage on fs's output and
+// returns the usage exit status 2: Fail for run functions that return
+// their exit status instead of exiting.
+func UsageError(fs *flag.FlagSet, err error) int {
+	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
+	fs.Usage()
+	return 2
 }

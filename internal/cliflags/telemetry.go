@@ -7,6 +7,7 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"safeguard/internal/telemetry"
@@ -40,14 +41,14 @@ func (tf *TelemetryFlags) SetTraceMeta(key, value string) {
 	tf.meta[key] = value
 }
 
-// Telemetry registers -stats, -trace and -http on the default FlagSet.
-// Call before flag.Parse, then Activate after it, and Finish once the
-// experiments are done.
-func Telemetry() *TelemetryFlags {
+// Telemetry registers -stats, -trace and -http on fs (flag.CommandLine
+// for the default set). Call before parsing, then Activate after it, and
+// Finish once the experiments are done.
+func Telemetry(fs *flag.FlagSet) *TelemetryFlags {
 	tf := &TelemetryFlags{}
-	flag.StringVar(&tf.stats, "stats", "", `print run telemetry on exit: "text" or "json"`)
-	flag.StringVar(&tf.trace, "trace", "", "write the cycle-stamped event trace to this file")
-	flag.StringVar(&tf.httpAddr, "http", "", "serve /stats, /debug/vars and /debug/pprof on this address (e.g. localhost:8080)")
+	fs.StringVar(&tf.stats, "stats", "", `print run telemetry on exit: "text" or "json"`)
+	fs.StringVar(&tf.trace, "trace", "", "write the cycle-stamped event trace to this file")
+	fs.StringVar(&tf.httpAddr, "http", "", "serve /stats, /debug/vars and /debug/pprof on this address (e.g. localhost:8080)")
 	return tf
 }
 
@@ -80,7 +81,7 @@ func (tf *TelemetryFlags) Activate() error {
 // Finish emits the requested outputs — the event trace to its file, the
 // stats snapshot to stdout — and shuts the HTTP endpoint down. Safe to
 // call when nothing was activated.
-func (tf *TelemetryFlags) Finish() error {
+func (tf *TelemetryFlags) Finish(stdout io.Writer) error {
 	if tf.stopHTTP != nil {
 		_ = tf.stopHTTP()
 		tf.stopHTTP = nil
@@ -100,9 +101,9 @@ func (tf *TelemetryFlags) Finish() error {
 	}
 	switch tf.stats {
 	case "text":
-		return tf.Registry.Snapshot().WriteText(os.Stdout)
+		return tf.Registry.Snapshot().WriteText(stdout)
 	case "json":
-		return tf.Registry.Snapshot().WriteJSON(os.Stdout)
+		return tf.Registry.Snapshot().WriteJSON(stdout)
 	}
 	return nil
 }
@@ -110,7 +111,7 @@ func (tf *TelemetryFlags) Finish() error {
 // MustFinish is Finish for main-function tails: a failed write (bad
 // -trace path, closed stdout) exits non-zero instead of being dropped.
 func (tf *TelemetryFlags) MustFinish() {
-	if err := tf.Finish(); err != nil {
+	if err := tf.Finish(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: telemetry: %v\n", os.Args[0], err)
 		os.Exit(1)
 	}

@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -35,7 +36,7 @@ func TestActivateBuildsHandles(t *testing.T) {
 	if empty.Registry != nil || empty.Tracer != nil {
 		t.Fatal("zero flags built handles")
 	}
-	if err := empty.Finish(); err != nil {
+	if err := empty.Finish(io.Discard); err != nil {
 		t.Fatalf("Finish with nothing activated: %v", err)
 	}
 }
@@ -47,7 +48,7 @@ func TestFinishUnwritableTracePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	tf.Tracer.Emit(telemetry.Event{Cycle: 1, Kind: telemetry.EvQuarantine})
-	if err := tf.Finish(); err == nil {
+	if err := tf.Finish(io.Discard); err == nil {
 		t.Fatal("Finish wrote a trace into a nonexistent directory")
 	}
 }
@@ -62,7 +63,7 @@ func TestActivateHTTPBindFailure(t *testing.T) {
 	defer ln.Close()
 	tf := &TelemetryFlags{httpAddr: ln.Addr().String()}
 	if err := tf.Activate(); err == nil {
-		_ = tf.Finish()
+		_ = tf.Finish(io.Discard)
 		t.Fatal("Activate bound an already-claimed port")
 	}
 }
@@ -78,7 +79,7 @@ func TestFinishWritesVersionedTrace(t *testing.T) {
 	tf.SetTraceMeta("tool", "sgtest")
 	tf.SetTraceMeta("scheme", "SafeGuard")
 	tf.Tracer.Emit(telemetry.Event{Cycle: 7, Kind: telemetry.EvACT, Rank: 0, Bank: 1, Row: 2})
-	if err := tf.Finish(); err != nil {
+	if err := tf.Finish(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)

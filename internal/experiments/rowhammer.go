@@ -3,6 +3,7 @@ package experiments
 import (
 	"safeguard/internal/ecc"
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
@@ -32,26 +33,21 @@ func Figure1b(seed uint64) []Figure1bResult {
 	cfg.VulnerableCellsPerRow = 256
 	cfg.FlipsPerCrossing = 16
 
-	// label is the printed caption; mit is the registry name.
+	// label is the printed mitigation caption and attack the printed
+	// attack caption; mit is the registry name. Each attack runs for two
+	// refresh windows.
 	type study struct {
-		label, mit string
-		pattern    func() rowhammer.Pattern
-		reference  int
+		label, mit, attack string
+		prog               *payload.Program
+		reference          int
 	}
-	const victim = 4000
+	const victim, acts = 4000, 2 * memctrl.ActsPerWindow
 	studies := []study{
-		{"TRR", "trr",
-			func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} },
-			victim - 1},
-		{"PARA", "para",
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} },
-			victim + 2},
-		{"Graphene", "graphene",
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} },
-			victim + 2},
-		{"TRR", "trr",
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} },
-			victim + 2},
+		{"TRR", "trr", "TRRespass-many-sided(4000,+12 dummies)",
+			payload.ManySided(victim, 12, 6000, acts), victim - 1},
+		{"PARA", "para", "half-double(4000)", payload.HalfDouble(victim, 0, acts), victim + 2},
+		{"Graphene", "graphene", "half-double(4000)", payload.HalfDouble(victim, 680, acts), victim + 2},
+		{"TRR", "trr", "half-double(4000)", payload.HalfDouble(victim, 1130, acts), victim + 2},
 	}
 
 	keyed := testKey()
@@ -62,7 +58,7 @@ func Figure1b(seed uint64) []Figure1bResult {
 			panic(err) // registry names above are fixed
 		}
 		bank := rowhammer.NewBank(cfg)
-		res := rowhammer.RunAttackAround(bank, mit, st.pattern(), 2, st.reference)
+		res := rowhammer.RunAttackAround(bank, mit, st.prog.Rows(), st.attack, st.reference)
 		res.Mitigation = st.label
 		r := Figure1bResult{
 			Attack:           res,
@@ -93,10 +89,12 @@ func Figure2(seed uint64) Figure2Result {
 	cfg.Seed = seed
 	bank := rowhammer.NewBank(cfg)
 	const victim = 2000
-	p := &rowhammer.DoubleSided{Victim: victim}
 	acts := 0
-	for len(bank.FlipsInRow(victim)) == 0 && acts < 4*cfg.Threshold {
-		bank.Activate(p.Next())
+	for row := range payload.DoubleSided(victim, 4*cfg.Threshold).Rows() {
+		if len(bank.FlipsInRow(victim)) != 0 {
+			break
+		}
+		bank.Activate(row)
 		acts++
 	}
 	return Figure2Result{

@@ -1,74 +1,82 @@
-// Library builders: the four legacy attack patterns of
-// internal/rowhammer, expressed as compact LOOP programs. Each builder
-// unrolls exactly one period of the corresponding Pattern's access
-// stream and wraps it in a loop (plus the remainder prefix), so the
-// expanded program reproduces the scripted stream row-for-row — the
-// property the payload-vs-scripted parity tests assert by running both
-// through the controller and comparing every counter and plugin
-// decision.
+// Library builders: the published hammering patterns of Section II-E
+// (single/double-sided, TRRespass many-sided, Half-Double) as compact
+// LOOP programs. Each builder writes one period of its access stream as
+// a loop body and rolls it to exactly `acts` activations, so callers
+// size an attack by its activation count.
 package payload
 
-import (
-	"fmt"
+import "fmt"
 
-	"safeguard/internal/rowhammer"
-)
-
-// SingleSided is the classic one-aggressor hammer as a program: acts
-// activations of the aggressor row.
+// SingleSided is the classic one-aggressor hammer: acts activations of
+// the aggressor row, whose neighbours are the victims.
 func SingleSided(aggressor, acts int) *Program {
-	return roll(fmt.Sprintf("single-sided(%d)", aggressor),
-		&rowhammer.SingleSided{Aggressor: aggressor}, 1, acts)
+	return roll(fmt.Sprintf("single-sided(%d)", aggressor), []int{aggressor}, acts)
 }
 
-// DoubleSided alternates the two rows sandwiching the victim.
+// DoubleSided alternates the two rows sandwiching the victim, doubling
+// the disturbance rate on it.
 func DoubleSided(victim, acts int) *Program {
-	return roll(fmt.Sprintf("double-sided(%d)", victim),
-		&rowhammer.DoubleSided{Victim: victim}, 2, acts)
+	return roll(fmt.Sprintf("double-sided(%d)", victim), []int{victim - 1, victim + 1}, acts)
 }
 
-// ManySided is the TRRespass pattern: the true aggressor pair plus a
-// rotating decoy burst sized to overflow TRR's sampler. Period is one
-// full aggressor/decoy cycle.
+// ManySided is the TRRespass pattern: the true aggressor pair around the
+// victim plus a burst of decoy rows (dummyBase, dummyBase+8, …) between
+// consecutive aggressor activations. Every decoy appears between the two
+// aggressors, which keeps the decoys at the top of a small TRR sampler
+// and evicts the real aggressors before the next REF can refresh their
+// neighbours.
 func ManySided(victim, dummies, dummyBase, acts int) *Program {
-	return roll(fmt.Sprintf("many-sided(%d,+%d@%d)", victim, dummies, dummyBase),
-		&rowhammer.ManySided{Victim: victim, Dummies: dummies, DummyBase: dummyBase},
-		2+2*dummies, acts)
+	var period []int
+	for _, aggressor := range []int{victim - 1, victim + 1} {
+		period = append(period, aggressor)
+		for i := 0; i < dummies; i++ {
+			period = append(period, dummyBase+8*i)
+		}
+	}
+	return roll(fmt.Sprintf("many-sided(%d,+%d@%d)", victim, dummies, dummyBase), period, acts)
 }
 
-// HalfDouble is Google's distance-two pattern: far rows hammered
-// heavily, near rows touched once per nearEvery far activations (0
-// relies purely on mitigation refreshes). The access stream repeats
-// every 2×nearEvery steps (2 when nearEvery is 0): the per-step choice
-// depends only on step mod nearEvery, (step/nearEvery) mod 2, and
-// step mod 2, all of which are functions of step mod 2×nearEvery.
+// HalfDouble is Google's distance-two pattern: hammer the far rows (V±2)
+// heavily and the near rows (V±1) lightly. The mitigation sees the far
+// rows as aggressors and keeps refreshing the near rows, and each of
+// those refreshes is an activation at distance 1 from V. One near
+// activation replaces the far one in the middle of every nearEvery
+// steps, alternating V-1 and V+1; nearEvery 0 drops the direct near hits
+// and relies purely on mitigation refreshes. The stream repeats every
+// 2×nearEvery steps (2 when nearEvery is 0).
 func HalfDouble(victim, nearEvery, acts int) *Program {
-	period := 2
+	n := 2
 	if nearEvery > 0 {
-		period = 2 * nearEvery
+		n = 2 * nearEvery
 	}
-	return roll(fmt.Sprintf("half-double(%d,near%d)", victim, nearEvery),
-		&rowhammer.HalfDouble{Victim: victim, NearEvery: nearEvery}, period, acts)
+	period := make([]int, n)
+	for i := range period {
+		switch {
+		case nearEvery > 0 && i%nearEvery == nearEvery/2 && (i/nearEvery)%2 == 0:
+			period[i] = victim - 1
+		case nearEvery > 0 && i%nearEvery == nearEvery/2:
+			period[i] = victim + 1
+		case i%2 == 0:
+			period[i] = victim - 2
+		default:
+			period[i] = victim + 2
+		}
+	}
+	return roll(fmt.Sprintf("half-double(%d,near%d)", victim, nearEvery), period, acts)
 }
 
-// roll unrolls `period` accesses of a fresh pattern into a loop body and
-// emits LOOP ⌊acts/period⌋ { body } followed by the remainder prefix —
-// exactly `acts` activations whose i-th row equals the pattern's i-th
-// Next() as long as the pattern truly has that period (the library tests
-// verify each claimed period against a long scripted stream).
-func roll(name string, p rowhammer.Pattern, period, acts int) *Program {
-	if period < 1 || acts < 1 || acts > MaxLoop {
-		panic(fmt.Sprintf("payload: bad roll(%q, period=%d, acts=%d)", name, period, acts))
-	}
-	rows := make([]int, period)
-	for i := range rows {
-		rows[i] = p.Next()
+// roll emits LOOP ⌊acts/len(period)⌋ { period } followed by the
+// remainder prefix: exactly `acts` activations whose i-th row is
+// period[i mod len(period)].
+func roll(name string, period []int, acts int) *Program {
+	if len(period) < 1 || acts < 1 || acts > MaxLoop {
+		panic(fmt.Sprintf("payload: bad roll(%q, period=%d, acts=%d)", name, len(period), acts))
 	}
 	prog := &Program{Name: name}
-	full, rem := acts/period, acts%period
+	full, rem := acts/len(period), acts%len(period)
 	if full > 0 {
-		body := make([]Instr, period)
-		for i, r := range rows {
+		body := make([]Instr, len(period))
+		for i, r := range period {
 			body[i] = Act{Row: r}
 		}
 		if full == 1 {
@@ -77,8 +85,8 @@ func roll(name string, p rowhammer.Pattern, period, acts int) *Program {
 			prog.Body = append(prog.Body, Loop{Count: full, Body: body})
 		}
 	}
-	for i := 0; i < rem; i++ {
-		prog.Body = append(prog.Body, Act{Row: rows[i]})
+	for _, r := range period[:rem] {
+		prog.Body = append(prog.Body, Act{Row: r})
 	}
 	return prog
 }

@@ -16,6 +16,7 @@ package payload
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"strings"
 )
@@ -232,6 +233,15 @@ func walkBody(body []Instr, fn func(Step) bool) bool {
 		}
 	}
 	return true
+}
+
+// Rows yields the program's ACT rows in order, loops unrolled and NOPs
+// skipped: the activation stream the untimed drivers consume. Like Walk
+// it does not validate.
+func (p *Program) Rows() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		p.Walk(func(s Step) bool { return !s.IsAct || yield(s.Row) })
+	}
 }
 
 // Encode renders the canonical text form: the schema header, then one

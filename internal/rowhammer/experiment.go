@@ -2,6 +2,7 @@ package rowhammer
 
 import (
 	"fmt"
+	"iter"
 
 	"safeguard/internal/bits"
 	"safeguard/internal/ecc"
@@ -53,11 +54,10 @@ func (r AttackResult) String() string {
 		r.Pattern, r.Mitigation, r.TotalFlips, r.Windows, r.Activations, r.MitigationRefreshes)
 }
 
-// RunAttack drives `pattern` against the bank under the mitigation plugin
-// `mit` (nil = unprotected) for `windows` refresh windows; see
-// RunAttackAround.
-func RunAttack(b *Bank, mit memctrl.Plugin, pattern Pattern, windows int) AttackResult {
-	return RunAttackAround(b, mit, pattern, windows, -1)
+// RunAttack drives the activation stream rows against the bank under the
+// mitigation plugin `mit` (nil = unprotected); see RunAttackAround.
+func RunAttack(b *Bank, mit memctrl.Plugin, rows iter.Seq[int], pattern string) AttackResult {
+	return RunAttackAround(b, mit, rows, pattern, -1)
 }
 
 // bankSink is the untimed VRR sink: a victim-row refresh lands on the bank
@@ -72,19 +72,23 @@ func (s bankSink) EnqueueVRR(rank, bank, row int) bool {
 	return true
 }
 
-// RunAttackAround is the untimed ACT-stream driver: each refresh window
-// is memctrl.ActsPerWindow command slots on bank (0, 0), one pattern row
-// per slot, with REF commands at the tREFI rate. The mitigation is a
-// memctrl plugin seeing the same ACT/REF stream the controller would
-// issue; its VRRs refresh the bank at once and its ActGate (if any)
-// throttles activations, counted in AttackResult.Throttled.
+// RunAttackAround is the untimed ACT-stream driver: each row of the
+// stream takes one command slot on bank (0, 0), a refresh window is
+// memctrl.ActsPerWindow slots, and REF commands arrive at the tREFI
+// rate. The mitigation is a memctrl plugin seeing the same ACT/REF
+// stream the controller would issue; its VRRs refresh the bank at once
+// and its ActGate (if any) throttles activations, counted in
+// AttackResult.Throttled. pattern is the caption the result reports.
 //
 // Each window's last REF is issued after the window's final ACT, just
 // before the bank's auto-refresh: plugins rotate their per-window state
 // (Graphene's table, BlockHammer's filter) on that REF, so the rotation
-// coincides with the disturbance reset. referenceRow >= 0 fills
-// AttackResult.FlipsByDistance (Figure 1b reports flips at distance 2).
-func RunAttackAround(b *Bank, mit memctrl.Plugin, pattern Pattern, windows, referenceRow int) AttackResult {
+// coincides with the disturbance reset. A stream that ends mid-window
+// closes its last window the same way; size streams in whole windows
+// (k × memctrl.ActsPerWindow rows) to attack for k full windows.
+// referenceRow >= 0 fills AttackResult.FlipsByDistance (Figure 1b
+// reports flips at distance 2).
+func RunAttackAround(b *Bank, mit memctrl.Plugin, rows iter.Seq[int], pattern string, referenceRow int) AttackResult {
 	name := "none"
 	var gate memctrl.ActGate
 	if mit != nil {
@@ -94,32 +98,41 @@ func RunAttackAround(b *Bank, mit memctrl.Plugin, pattern Pattern, windows, refe
 		}
 		gate, _ = mit.(memctrl.ActGate)
 	}
-	refEvery := memctrl.ActsPerWindow / memctrl.REFsPerWindow
+	const refEvery = memctrl.ActsPerWindow / memctrl.REFsPerWindow
 	var slot int64
-	throttled := 0
-	for w := 0; w < windows; w++ {
-		for i := 0; i < memctrl.ActsPerWindow; i++ {
-			row := pattern.Next()
-			if gate != nil && !gate.AllowAct(0, 0, row, slot) {
-				throttled++
-			} else {
-				b.Activate(row)
-				if mit != nil {
-					mit.OnCommand(memctrl.CmdACT, 0, 0, row, slot)
-				}
-			}
-			if mit != nil && i%refEvery == refEvery-1 && i/refEvery < memctrl.REFsPerWindow-1 {
-				mit.OnCommand(memctrl.CmdREF, 0, -1, -1, slot)
-			}
-			slot++
-		}
+	windows, throttled, i := 0, 0, 0 // i: slots used in the open window
+	closeWindow := func() {
+		windows, i = windows+1, 0
 		if mit != nil {
 			mit.OnCommand(memctrl.CmdREF, 0, -1, -1, slot)
 		}
 		b.RefreshWindow()
 	}
+	for row := range rows {
+		if gate != nil && !gate.AllowAct(0, 0, row, slot) {
+			throttled++
+		} else {
+			b.Activate(row)
+			if mit != nil {
+				mit.OnCommand(memctrl.CmdACT, 0, 0, row, slot)
+			}
+		}
+		// A REF every refEvery slots, except the window's last: that one
+		// waits for closeWindow.
+		i++
+		if mit != nil && i%refEvery == 0 && i/refEvery < memctrl.REFsPerWindow {
+			mit.OnCommand(memctrl.CmdREF, 0, -1, -1, slot)
+		}
+		slot++
+		if i == memctrl.ActsPerWindow {
+			closeWindow()
+		}
+	}
+	if i > 0 { // a stream ending mid-window closes that window the same way
+		closeWindow()
+	}
 	res := AttackResult{
-		Pattern:             pattern.Name(),
+		Pattern:             pattern,
 		Mitigation:          name,
 		Windows:             windows,
 		Activations:         b.Activations,

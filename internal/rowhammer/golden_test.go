@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
@@ -33,9 +34,36 @@ type goldenCase struct {
 	mitigation string // registry name
 	threshold  int    // mitigation sizing
 	seed       uint64 // mitigation randomness (PARA)
-	pattern    func() rowhammer.Pattern
-	windows    int
+	attack     study
 	reference  int
+}
+
+// study is an attack program plus the caption the golden pins for it.
+type study struct {
+	caption string
+	prog    *payload.Program
+}
+
+// windows is the study's length in whole refresh windows.
+func (s study) windows() int { return int(s.prog.Acts() / window) }
+
+// The study constructors: programs sized in whole refresh windows,
+// captioned with the names the golden file records.
+func singleSided(aggressor, windows int) study {
+	return study{fmt.Sprintf("single-sided(%d)", aggressor), payload.SingleSided(aggressor, windows*window)}
+}
+
+func doubleSided(victim, windows int) study {
+	return study{fmt.Sprintf("double-sided(%d)", victim), payload.DoubleSided(victim, windows*window)}
+}
+
+func trrespassStudy(victim, dummyBase, windows int) study {
+	return study{fmt.Sprintf("TRRespass-many-sided(%d,+12 dummies)", victim),
+		payload.ManySided(victim, 12, dummyBase, windows*window)}
+}
+
+func halfDouble(victim, nearEvery, windows int) study {
+	return study{fmt.Sprintf("half-double(%d)", victim), payload.HalfDouble(victim, nearEvery, windows*window)}
 }
 
 // goldenRun is what the golden file pins per case. Mitigation is the
@@ -79,32 +107,31 @@ func goldenCases() []goldenCase {
 		th := cfg.Threshold
 		cases = append(cases,
 			goldenCase{fmt.Sprintf("figure1b/seed%d/trr/trrespass", seed), cfg, "trr", th, seed,
-				func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} }, 2, victim - 1},
+				trrespassStudy(victim, 6000, 2), victim - 1},
 			goldenCase{fmt.Sprintf("figure1b/seed%d/para/half-double", seed), cfg, "para", th, seed,
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} }, 2, victim + 2},
+				halfDouble(victim, 0, 2), victim + 2},
 			goldenCase{fmt.Sprintf("figure1b/seed%d/graphene/half-double", seed), cfg, "graphene", th, seed,
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} }, 2, victim + 2},
+				halfDouble(victim, 680, 2), victim + 2},
 			goldenCase{fmt.Sprintf("figure1b/seed%d/trr/half-double", seed), cfg, "trr", th, seed,
-				func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 1130} }, 2, victim + 2},
+				halfDouble(victim, 1130, 2), victim + 2},
 		)
 	}
-	doubleSided := func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: victim} }
 	for _, seed := range []uint64{7, 42, 17} {
 		cfg := sizingConfig(seed)
 		cases = append(cases,
-			goldenCase{fmt.Sprintf("blockhammer-sizing/seed%d/sized", seed), cfg, "blockhammer", cfg.Threshold, 0, doubleSided, 1, -1},
-			goldenCase{fmt.Sprintf("blockhammer-sizing/seed%d/under-sized", seed), cfg, "blockhammer", 3 * cfg.Threshold, 0, doubleSided, 1, -1},
+			goldenCase{fmt.Sprintf("blockhammer-sizing/seed%d/sized", seed), cfg, "blockhammer", cfg.Threshold, 0, doubleSided(victim, 1), -1},
+			goldenCase{fmt.Sprintf("blockhammer-sizing/seed%d/under-sized", seed), cfg, "blockhammer", 3 * cfg.Threshold, 0, doubleSided(victim, 1), -1},
 		)
 	}
 	abl := sizingConfig(13)
 	cases = append(cases,
-		goldenCase{"ablation/none/double-sided", abl, "none", abl.Threshold, 13, doubleSided, 1, -1},
+		goldenCase{"ablation/none/double-sided", abl, "none", abl.Threshold, 13, doubleSided(victim, 1), -1},
 		goldenCase{"ablation/trr/trrespass", abl, "trr", abl.Threshold, 13,
-			func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: victim, Dummies: 12, DummyBase: 6000} }, 1, -1},
+			trrespassStudy(victim, 6000, 1), -1},
 		goldenCase{"ablation/para/half-double", abl, "para", abl.Threshold, 13,
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim} }, 1, -1},
+			halfDouble(victim, 0, 1), -1},
 		goldenCase{"ablation/graphene/half-double", abl, "graphene", abl.Threshold, 13,
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: victim, NearEvery: 680} }, 1, -1},
+			halfDouble(victim, 680, 1), -1},
 	)
 	// The BlockHammer unit-test scenarios (4096-row bank, seed 7).
 	unit := rowhammer.DefaultConfig()
@@ -113,17 +140,17 @@ func goldenCases() []goldenCase {
 	th := unit.Threshold
 	cases = append(cases,
 		goldenCase{"blockhammer-unit/double-sided", unit, "blockhammer", th, 0,
-			func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 1000} }, 1, -1},
+			doubleSided(1000, 1), -1},
 		goldenCase{"blockhammer-unit/many-sided", unit, "blockhammer", th, 0,
-			func() rowhammer.Pattern { return &rowhammer.ManySided{Victim: 1200, Dummies: 12, DummyBase: 2000} }, 1, -1},
+			trrespassStudy(1200, 2000, 1), -1},
 		goldenCase{"blockhammer-unit/half-double-near", unit, "blockhammer", th, 0,
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 1500, NearEvery: 1130} }, 1, -1},
+			halfDouble(1500, 1130, 1), -1},
 		goldenCase{"blockhammer-unit/half-double", unit, "blockhammer", th, 0,
-			func() rowhammer.Pattern { return &rowhammer.HalfDouble{Victim: 1500} }, 1, -1},
+			halfDouble(1500, 0, 1), -1},
 		goldenCase{"blockhammer-unit/single-sided", unit, "blockhammer", th, 0,
-			func() rowhammer.Pattern { return &rowhammer.SingleSided{Aggressor: 2222} }, 1, -1},
+			singleSided(2222, 1), -1},
 		goldenCase{"blockhammer-unit/under-provisioned", unit, "blockhammer", 10_000, 0,
-			func() rowhammer.Pattern { return &rowhammer.DoubleSided{Victim: 1000} }, 1, -1},
+			doubleSided(1000, 1), -1},
 	)
 	return cases
 }
@@ -135,7 +162,7 @@ func runGoldenCase(t *testing.T, c goldenCase) goldenRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := rowhammer.RunAttackAround(b, mit, c.pattern(), c.windows, c.reference)
+	res := rowhammer.RunAttackAround(b, mit, c.attack.prog.Rows(), c.attack.caption, c.reference)
 	flips := make([]string, len(b.Flips()))
 	for i, f := range b.Flips() {
 		flips[i] = fmt.Sprintf("%d:%d:%d", f.Row, f.Line, f.Bit)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"safeguard/internal/memctrl"
+	"safeguard/internal/payload"
 	"safeguard/internal/rowhammer"
 )
 
@@ -21,6 +22,15 @@ const (
 	oracleWeight2 = 1
 )
 
+// TRR's sampler contract, stated here rather than read off the plugin: a
+// row is an aggressor only with at least trrEligibleMin ACTs in the REF
+// interval, and each REF refreshes both neighbours of at most
+// trrVictimsPerREF aggressors.
+const (
+	trrEligibleMin   = 8
+	trrVictimsPerREF = 2
+)
+
 // invariantOracle is the replayed bank plus the per-mitigation bounds.
 type invariantOracle struct {
 	t         *testing.T
@@ -29,7 +39,6 @@ type invariantOracle struct {
 	cfg       rowhammer.Config
 	mit       string
 	actCap    int // BlockHammer: max ACTs per row per window
-	trr       *memctrl.TRRPlugin
 	dist      []int64
 	sinceRef  []int // flips per row since its last refresh
 	seenFlips int
@@ -48,7 +57,7 @@ type invariantOracle struct {
 	flips, vrrs, denied int
 }
 
-func newInvariantOracle(t *testing.T, c goldenCase, b *rowhammer.Bank, mit memctrl.Plugin) *invariantOracle {
+func newInvariantOracle(t *testing.T, c goldenCase, b *rowhammer.Bank) *invariantOracle {
 	o := &invariantOracle{
 		t: t, name: c.name, bank: b, cfg: c.cfg, mit: c.mitigation,
 		dist:     make([]int64, c.cfg.Rows),
@@ -59,9 +68,6 @@ func newInvariantOracle(t *testing.T, c goldenCase, b *rowhammer.Bank, mit memct
 	}
 	if c.mitigation == "blockhammer" {
 		o.actCap = max(c.threshold/2-1, 1)
-	}
-	if trr, ok := mit.(*memctrl.TRRPlugin); ok {
-		o.trr = trr
 	}
 	return o
 }
@@ -132,12 +138,12 @@ func (o *invariantOracle) vrr(row int, applied bool) {
 			o.failf("TRR requested a VRR of row %d outside a REF", row)
 		}
 		o.refVRRs++
-		if o.refVRRs > 2*o.trr.VictimsPerREF {
-			o.failf("TRR issued %d VRRs on one REF (bound %d)", o.refVRRs, 2*o.trr.VictimsPerREF)
+		if o.refVRRs > 2*trrVictimsPerREF {
+			o.failf("TRR issued %d VRRs on one REF (bound %d)", o.refVRRs, 2*trrVictimsPerREF)
 		}
-		if o.intervalActs(row-1) < o.trr.EligibleMin && o.intervalActs(row+1) < o.trr.EligibleMin {
+		if o.intervalActs(row-1) < trrEligibleMin && o.intervalActs(row+1) < trrEligibleMin {
 			o.failf("TRR refreshed row %d, but neither neighbour had %d ACTs this interval",
-				row, o.trr.EligibleMin)
+				row, trrEligibleMin)
 		}
 	default: // para, graphene: neighbours of the row just activated
 		if o.actRow < 0 || (row != o.actRow-1 && row != o.actRow+1) {
@@ -258,24 +264,42 @@ var invariantStudies = map[string]bool{
 	"blockhammer-unit/many-sided":          true,
 }
 
+// subEligibleStudy is an oracle-only TRR study: 40 decoys below the
+// aggressors (so the sampler's smallest-row tie-break evicts decoys, not
+// aggressors) give each aggressor 2-3 ACTs per REF interval, under
+// TRR's eligibility bar. The golden studies never sample a row below
+// the bar, so without this one a TRR that refreshed around sub-threshold
+// rows would pass.
+func subEligibleStudy() goldenCase {
+	cfg := rowhammer.DefaultConfig()
+	cfg.Rows = 4096
+	cfg.Seed = 7
+	p := payload.ManySided(2000, 40, 100, window)
+	return goldenCase{"oracle/trr/sub-eligible-many-sided", cfg, "trr", cfg.Threshold, 7,
+		study{p.Name, p}, -1}
+}
+
 // TestInvariantOracle replays the invariant studies through the oracle.
 func TestInvariantOracle(t *testing.T) {
 	t.Parallel()
 	type tally struct{ flips, vrrs, denied int }
 	totals := map[string]tally{}
+	studies := []goldenCase{subEligibleStudy()}
 	for _, c := range goldenCases() {
-		if !invariantStudies[c.name] {
-			continue
+		if invariantStudies[c.name] {
+			studies = append(studies, c)
 		}
+	}
+	for _, c := range studies {
 		b := rowhammer.NewBank(c.cfg)
 		mit, err := memctrl.NewMitigationPlugin(c.mitigation, c.threshold, c.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := newInvariantOracle(t, c, b, mit)
-		res := rowhammer.RunAttackAround(b, &streamRecorder{inner: mit, o: o}, c.pattern(), c.windows, c.reference)
-		if o.refs != c.windows*memctrl.REFsPerWindow {
-			t.Fatalf("%s: %d REFs over %d windows", c.name, o.refs, c.windows)
+		o := newInvariantOracle(t, c, b)
+		res := rowhammer.RunAttackAround(b, &streamRecorder{inner: mit, o: o}, c.attack.prog.Rows(), c.attack.caption, c.reference)
+		if w := c.attack.windows(); o.refs != w*memctrl.REFsPerWindow || res.Windows != w {
+			t.Fatalf("%s: %d REFs and %d windows reported over %d windows", c.name, o.refs, res.Windows, w)
 		}
 		if o.flips != res.TotalFlips || o.denied != res.Throttled {
 			t.Fatalf("%s: oracle saw %d flips / %d denials, driver reported %d / %d",

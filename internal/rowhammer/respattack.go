@@ -9,8 +9,10 @@
 package rowhammer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"iter"
 	"sort"
 
 	"safeguard/internal/attrib"
@@ -110,9 +112,10 @@ type ResponseAttackResult struct {
 	MCStats  memctrl.Stats
 }
 
-// RunResponseAttack drives the attack pattern through a single-bank
-// controller with the full response pipeline attached.
-func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pattern) (*ResponseAttackResult, error) {
+// RunResponseAttack drives the attacker's activation stream rows (at most
+// cfg.Accesses of them) through a single-bank controller with the full
+// response pipeline attached. pattern is the caption the result reports.
+func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, rows iter.Seq[int], pattern string) (*ResponseAttackResult, error) {
 	if cfg.Bank.Rows == 0 {
 		cfg.Bank = DefaultConfig()
 	}
@@ -147,43 +150,21 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 	if policyTh <= 0 {
 		policyTh = 3
 	}
-	mitName := cfg.Mitigation
-	if mitName == "" {
-		mitName = "none"
-	}
-	th := cfg.MitigationThreshold
-	if th == 0 {
-		th = cfg.Bank.Threshold
-	}
-
-	geom := dram.Geometry{
-		Ranks:       1,
-		Banks:       1,
-		RowsPerBank: cfg.Bank.Rows,
-		RowBytes:    cfg.Bank.LinesPerRow * 64,
-		LineBytes:   64,
-	}
-	if err := geom.Validate(); err != nil {
-		return nil, err
-	}
+	mitName := cmp.Or(cfg.Mitigation, "none")
+	th := cmp.Or(cfg.MitigationThreshold, cfg.Bank.Threshold)
 
 	// Cycle-level side: controller + mitigation + disturbance tracer +
 	// quarantine gate + spare region.
-	mc := memctrl.New(geom, dram.DDR4_3200())
-	mit, err := memctrl.NewMitigationPlugin(mitName, th, cfg.Seed)
+	mc, tracer, mapper, err := NewAttackController(cfg.Bank, mitName, th, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	mc.AttachPlugin(mit)
-	tracer := NewActivationTracer(cfg.Bank)
-	mc.AttachPlugin(tracer)
 	gate := memctrl.NewQuarantineGate()
 	mc.AttachPlugin(gate)
 	if err := mc.ReserveSpareRows(spareRows); err != nil {
 		return nil, err
 	}
 	mc.AttachTelemetry(cfg.Telemetry, cfg.Trace)
-	mapper := dram.NewMapper(geom)
 	bank := tracer.Bank(0, 0)
 
 	// Functional side: MAC-protected memory over the victim rows, with
@@ -203,7 +184,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 		}
 	}
 
-	res := &ResponseAttackResult{Pattern: pattern.Name(), Mitigation: mitName}
+	res := &ResponseAttackResult{Pattern: pattern, Mitigation: mitName}
 	attackRows := make(map[int]bool)
 	quarantineNow := func(rows []int) {
 		res.Quarantined = true
@@ -235,10 +216,7 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 		return nil, err
 	}
 
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = int64(cfg.Accesses)*4000 + 200_000
-	}
+	maxCycles := cmp.Or(cfg.MaxCycles, int64(cfg.Accesses)*4000+200_000)
 
 	// Flip propagation: new disturbance flips land in the memsys image of
 	// un-retired victim rows. A retired row's data lives in the spare
@@ -314,11 +292,10 @@ func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, pattern Pa
 
 	attackBenignReads := 0
 attack:
-	for res.AttackerAccesses < cfg.Accesses && !res.Quarantined {
-		if ctx.Err() != nil {
+	for row := range rows {
+		if res.AttackerAccesses >= cfg.Accesses || res.Quarantined || ctx.Err() != nil {
 			break
 		}
-		row := pattern.Next()
 		if row < 0 || row >= cfg.Bank.Rows {
 			return res, fmt.Errorf("pattern row %d outside bank of %d rows", row, cfg.Bank.Rows)
 		}

@@ -9,19 +9,6 @@ import (
 	"safeguard/internal/response"
 )
 
-// roundRobin cycles through a fixed aggressor-row set.
-type roundRobin struct {
-	rows []int
-	i    int
-}
-
-func (p *roundRobin) Name() string { return "round-robin" }
-func (p *roundRobin) Next() int {
-	r := p.rows[p.i%len(p.rows)]
-	p.i++
-	return r
-}
-
 func respCfg() ResponseAttackConfig {
 	return ResponseAttackConfig{
 		Bank: Config{
@@ -56,7 +43,7 @@ func respCfg() ResponseAttackConfig {
 func TestResponseAttackFullEscalation(t *testing.T) {
 	t.Parallel()
 	cfg := respCfg()
-	res, err := RunResponseAttack(context.Background(), cfg, &roundRobin{rows: []int{7, 9, 11}})
+	res, err := RunResponseAttack(context.Background(), cfg, alternate(cfg.Accesses, 7, 9, 11), "round-robin")
 	if err != nil {
 		t.Fatalf("RunResponseAttack: %v", err)
 	}
@@ -158,17 +145,17 @@ func TestResponseAttackFullEscalation(t *testing.T) {
 func TestResponseAttackValidation(t *testing.T) {
 	t.Parallel()
 	ctx := context.Background()
-	if _, err := RunResponseAttack(ctx, ResponseAttackConfig{Bank: Config{Rows: 8, Threshold: 4, LinesPerRow: 2}}, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, ResponseAttackConfig{Bank: Config{Rows: 8, Threshold: 4, LinesPerRow: 2}}, alternate(1, 1), "one-row"); err == nil {
 		t.Errorf("no victim rows accepted")
 	}
 	cfg := respCfg()
 	cfg.VictimRows = []int{999}
-	if _, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, cfg, alternate(1, 1), "one-row"); err == nil {
 		t.Errorf("out-of-range victim row accepted")
 	}
 	cfg = respCfg()
 	cfg.Mitigation = "no-such-defense"
-	if _, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{1}}); err == nil {
+	if _, err := RunResponseAttack(ctx, cfg, alternate(1, 1), "one-row"); err == nil {
 		t.Errorf("unknown mitigation accepted")
 	}
 }
@@ -179,7 +166,7 @@ func TestResponseAttackCancellation(t *testing.T) {
 	cancel()
 	cfg := respCfg()
 	start := time.Now()
-	res, err := RunResponseAttack(ctx, cfg, &roundRobin{rows: []int{7, 9, 11}})
+	res, err := RunResponseAttack(ctx, cfg, alternate(cfg.Accesses, 7, 9, 11), "round-robin")
 	if err == nil {
 		t.Fatalf("cancelled run returned nil error")
 	}

@@ -14,7 +14,7 @@ func runTracedAttack(t *testing.T) ([]telemetry.Event, telemetry.Snapshot, *Resp
 	cfg := respCfg()
 	cfg.Telemetry = telemetry.NewRegistry()
 	cfg.Trace = telemetry.NewTracer(1 << 18)
-	res, err := RunResponseAttack(context.Background(), cfg, &DoubleSided{Victim: 8})
+	res, err := RunResponseAttack(context.Background(), cfg, alternate(cfg.Accesses, 7, 9), "double-sided(8)")
 	if err != nil {
 		t.Fatal(err)
 	}

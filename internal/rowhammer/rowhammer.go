@@ -1,11 +1,13 @@
 // Package rowhammer models DRAM activation-disturbance (Row-Hammer) at the
 // bank level: per-row disturbance accumulation with a configurable
-// RH-Threshold and blast radius, the published attack patterns that
-// motivate the SafeGuard paper — single-/double-sided hammering, TRRespass
-// many-sided patterns, and Google's Half-Double (Figure 1b) — and drivers
-// that run them against the memctrl mitigation plugins (PARA, TRR,
-// Graphene, BlockHammer): untimed over a raw ACT/REF stream (RunAttack) or
-// through the cycle-level controller (RunMCAttack).
+// RH-Threshold and blast radius, and the drivers that run an attacker's
+// activation stream against the memctrl mitigation plugins (PARA, TRR,
+// Graphene, BlockHammer): untimed over a raw ACT/REF stream (RunAttack),
+// or through the cycle-level controller with the DUE response pipeline
+// attached (RunResponseAttack). The ActivationTracer plugin folds a
+// controller's command stream into the model. The attacks themselves,
+// the published patterns that motivate the SafeGuard paper, are payload
+// programs (internal/payload); drivers take their rows as an iter.Seq.
 //
 // The model is calibrated to reproduce the qualitative security facts the
 // paper builds on rather than device physics:

@@ -3,6 +3,7 @@ package rowhammer
 import (
 	"sort"
 
+	"safeguard/internal/dram"
 	"safeguard/internal/memctrl"
 )
 
@@ -25,6 +26,31 @@ type ActivationTracer struct {
 	// exist only in the event engine.
 	spans         int64
 	spannedCycles int64
+}
+
+// NewAttackController builds the controller the controller-driven attack
+// runners (payload.Run, RunResponseAttack) drive: one rank and one bank
+// of DDR4-3200 sized to cfg, so every row switch is a genuine
+// precharge+activate, with the registry mitigation (nil for "none")
+// attached first and an ActivationTracer over cfg second. The mapper
+// encodes (row, column) coordinates of that bank.
+func NewAttackController(cfg Config, mitigation string, threshold int, seed uint64) (*memctrl.Controller, *ActivationTracer, *dram.Mapper, error) {
+	geom := dram.Geometry{
+		Ranks: 1, Banks: 1, RowsPerBank: cfg.Rows,
+		RowBytes: cfg.LinesPerRow * 64, LineBytes: 64,
+	}
+	if err := geom.Validate(); err != nil {
+		return nil, nil, nil, err
+	}
+	mc := memctrl.New(geom, dram.DDR4_3200())
+	mit, err := memctrl.NewMitigationPlugin(mitigation, threshold, seed)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	mc.AttachPlugin(mit)
+	tracer := NewActivationTracer(cfg)
+	mc.AttachPlugin(tracer)
+	return mc, tracer, dram.NewMapper(geom), nil
 }
 
 // NewActivationTracer builds a tracer; each (rank, bank) the controller

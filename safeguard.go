@@ -44,6 +44,7 @@ package safeguard
 
 import (
 	"context"
+	"iter"
 	"math/rand/v2"
 
 	"safeguard/internal/analysis"
@@ -58,6 +59,7 @@ import (
 	"safeguard/internal/mac"
 	"safeguard/internal/memctrl"
 	"safeguard/internal/memsys"
+	"safeguard/internal/payload"
 	"safeguard/internal/response"
 	"safeguard/internal/rowhammer"
 	"safeguard/internal/sim"
@@ -302,22 +304,32 @@ type Bank = rowhammer.Bank
 // RHConfig parameterizes a bank (rows, RH-Threshold, vulnerable cells).
 type RHConfig = rowhammer.Config
 
-// AttackPattern is an adversarial activation stream.
-type AttackPattern = rowhammer.Pattern
+// AttackProgram is an attack in the payload DSL (ACT <row>, NOP
+// <cycles>, LOOP <count> { … }): the one representation of a hammering
+// pattern. Rows() yields its activation stream for RunAttack;
+// RunAttackProgram executes it through the cycle-level controller.
+type AttackProgram = payload.Program
 
-// The published attack patterns (Section II-E).
-type (
-	// SingleSided hammers one aggressor row.
-	SingleSided = rowhammer.SingleSided
-	// DoubleSided sandwiches the victim between two aggressors.
-	DoubleSided = rowhammer.DoubleSided
-	// ManySided is the TRRespass dummy-row pattern that evicts true
-	// aggressors from TRR's sampler.
-	ManySided = rowhammer.ManySided
-	// HalfDouble is Google's distance-two pattern that weaponizes the
-	// mitigation's own victim refreshes.
-	HalfDouble = rowhammer.HalfDouble
-)
+// The published attack patterns (Section II-E) as programs of exactly
+// acts activations.
+
+// SingleSided hammers one aggressor row.
+func SingleSided(aggressor, acts int) *AttackProgram { return payload.SingleSided(aggressor, acts) }
+
+// DoubleSided sandwiches the victim between two aggressors.
+func DoubleSided(victim, acts int) *AttackProgram { return payload.DoubleSided(victim, acts) }
+
+// ManySided is the TRRespass decoy-row pattern that evicts true
+// aggressors from TRR's sampler.
+func ManySided(victim, dummies, dummyBase, acts int) *AttackProgram {
+	return payload.ManySided(victim, dummies, dummyBase, acts)
+}
+
+// HalfDouble is Google's distance-two pattern that weaponizes the
+// mitigation's own victim refreshes.
+func HalfDouble(victim, nearEvery, acts int) *AttackProgram {
+	return payload.HalfDouble(victim, nearEvery, acts)
+}
 
 // AttackResult summarizes an attack run; DetectionOutcome classifies what a
 // protection scheme did with the flipped lines.
@@ -332,12 +344,18 @@ func NewBank(cfg RHConfig) *Bank { return rowhammer.NewBank(cfg) }
 // DefaultRHConfig models one bank at the LPDDR4-new threshold (4.8K).
 func DefaultRHConfig() RHConfig { return rowhammer.DefaultConfig() }
 
-// RunAttack drives a pattern against a bank for whole refresh windows,
-// with a mitigation from NewMitigationPlugin (nil = undefended) seeing
-// the untimed ACT/REF stream, and reports the flips.
-func RunAttack(b *Bank, mit ControllerPlugin, p AttackPattern, windows int) rowhammer.AttackResult {
-	return rowhammer.RunAttack(b, mit, p, windows)
+// RunAttack drives an activation stream (an AttackProgram's Rows, one
+// refresh window per RHActsPerWindow rows) against a bank, with a
+// mitigation from NewMitigationPlugin (nil = undefended) seeing the
+// untimed ACT/REF stream, and reports the flips under the caption
+// pattern.
+func RunAttack(b *Bank, mit ControllerPlugin, rows iter.Seq[int], pattern string) rowhammer.AttackResult {
+	return rowhammer.RunAttack(b, mit, rows, pattern)
 }
+
+// RHActsPerWindow is the number of activation slots in one refresh
+// window of the untimed attack driver.
+const RHActsPerWindow = memctrl.ActsPerWindow
 
 // EvaluateDetection replays an attack's flipped lines through a protection
 // scheme, classifying corrected / detected / silent outcomes.
@@ -451,22 +469,19 @@ func NewActivationTracer(cfg RHConfig) *ActivationTracer {
 	return rowhammer.NewActivationTracer(cfg)
 }
 
-// MCAttackConfig/MCAttackResult parameterize and report controller-driven
-// attack runs.
+// AttackRunConfig/AttackRunResult parameterize and report attack
+// programs run through the cycle-level controller.
 type (
-	MCAttackConfig = rowhammer.MCAttackConfig
-	MCAttackResult = rowhammer.MCAttackResult
+	AttackRunConfig = payload.RunConfig
+	AttackRunResult = payload.Result
 )
 
-// RunMCAttack drives a pattern through the cycle-level controller with a
-// registry-named mitigation plugin attached.
-func RunMCAttack(cfg MCAttackConfig, p AttackPattern) (MCAttackResult, error) {
-	return rowhammer.RunMCAttack(cfg, p)
-}
-
-// RunMCAttackContext is RunMCAttack with cancellation.
-func RunMCAttackContext(ctx context.Context, cfg MCAttackConfig, p AttackPattern) (MCAttackResult, error) {
-	return rowhammer.RunMCAttackContext(ctx, cfg, p)
+// RunAttackProgram executes an attack program through a single-bank
+// cycle-level controller with a registry-named mitigation plugin
+// attached; on ctx cancellation the partial result returns with the
+// context's error.
+func RunAttackProgram(ctx context.Context, cfg AttackRunConfig, p *AttackProgram) (AttackRunResult, error) {
+	return payload.Run(ctx, cfg, p)
 }
 
 // ResponseAttackConfig/ResponseAttackResult parameterize and report
@@ -478,9 +493,10 @@ type (
 	ResponseAttackResult = rowhammer.ResponseAttackResult
 )
 
-// RunResponseAttack drives a pattern against the full response pipeline.
-func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, p AttackPattern) (*ResponseAttackResult, error) {
-	return rowhammer.RunResponseAttack(ctx, cfg, p)
+// RunResponseAttack drives an activation stream against the full
+// response pipeline, reporting it under the caption pattern.
+func RunResponseAttack(ctx context.Context, cfg ResponseAttackConfig, rows iter.Seq[int], pattern string) (*ResponseAttackResult, error) {
+	return rowhammer.RunResponseAttack(ctx, cfg, rows, pattern)
 }
 
 // ---------------------------------------------------------------------------

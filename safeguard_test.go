@@ -57,7 +57,8 @@ func TestPublicAttackDetectionFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := safeguard.RunAttack(bank, trr, &attackManySided{victim: 1200}, 1)
+	attack := safeguard.ManySided(1200, 12, 3000, safeguard.RHActsPerWindow)
+	res := safeguard.RunAttack(bank, trr, attack.Rows(), attack.Name)
 	if !res.Broke() {
 		t.Fatal("attack should break TRR")
 	}
@@ -65,31 +66,6 @@ func TestPublicAttackDetectionFlow(t *testing.T) {
 	out := safeguard.EvaluateDetection(bank, safeguard.NewSafeGuardSECDED(safeguard.NewMAC(demoKey())))
 	if out.Silent != 0 {
 		t.Fatalf("silent lines: %d", out.Silent)
-	}
-}
-
-// attackManySided adapts the internal TRRespass pattern via the public
-// interface to demonstrate custom patterns compile against it.
-type attackManySided struct {
-	victim int
-	step   int
-}
-
-func (p *attackManySided) Name() string { return "custom-many-sided" }
-func (p *attackManySided) Next() int {
-	const dummies = 12
-	cycle := 2 + 2*dummies
-	i := p.step % cycle
-	p.step++
-	switch {
-	case i == 0:
-		return p.victim - 1
-	case i == dummies+1:
-		return p.victim + 1
-	case i <= dummies:
-		return 3000 + 8*(i-1)
-	default:
-		return 3000 + 8*(i-dummies-2)
 	}
 }
 
@@ -219,7 +195,8 @@ func TestPublicBlockHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := safeguard.RunAttack(bank, bh, &safeguard.DoubleSided{Victim: 1000}, 1)
+	attack := safeguard.DoubleSided(1000, safeguard.RHActsPerWindow)
+	res := safeguard.RunAttack(bank, bh, attack.Rows(), attack.Name)
 	if res.TotalFlips != 0 {
 		t.Fatal("BlockHammer should stop double-sided hammering")
 	}
